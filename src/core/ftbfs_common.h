@@ -43,6 +43,10 @@ struct FtBfsStats {
   std::uint64_t new_edges = 0;         // |E(H)| - |E(T0)|
   std::uint64_t max_new_per_vertex = 0;  // max_v |New(v)|
   std::uint64_t fault_pairs_considered = 0;
+  // W-path selections (one bidirectional pair search each, spath/bidir.h)
+  // plus the one W-SSSP tree per source. The name predates the pair search,
+  // when every selection was a Dijkstra run; it stays so `--stats json`
+  // output keeps its schema.
   std::uint64_t dijkstra_runs = 0;
   std::uint64_t divergence_fallbacks = 0;  // defensive-path fallbacks (expect 0)
   PathClassCounts classes;             // filled when instrumentation is on

@@ -9,10 +9,13 @@
 // binary search, which is sound because the restricted graphs are nested
 // (G(u_k,·) ⊆ G(u_{k+1},·)), making hop-distance monotone in the index.
 //
-// Distance *tests* use plain BFS (hop counts are what the FT-BFS property is
-// about); only the finally selected path is computed with the tie-broken
-// Dijkstra so that it is the W-unique representative the analysis reasons
-// about.
+// Every question the selection asks is about one pair (s, v): distance
+// *tests* compare hop counts (what the FT-BFS property is about), and only
+// the finally selected path needs the W-unique representative the analysis
+// reasons about. Both are answered by one bidirectional search
+// (spath/bidir.h) that touches the two balls around s and v instead of the
+// whole graph. Full W-SSSP (Dijkstra) remains only for the tree T0(s), once
+// per build.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,7 @@
 
 #include "graph/graph.h"
 #include "graph/mask.h"
-#include "spath/bfs.h"
+#include "spath/bidir.h"
 #include "spath/dijkstra.h"
 #include "spath/path.h"
 #include "spath/replacement.h"
@@ -54,28 +57,26 @@ class VertexIndexMap {
   std::vector<std::size_t> pos_;
 };
 
-// Owns the scratch state (mask + BFS + Dijkstra) for path selection.
+// Owns the scratch state (mask + pair search + Dijkstra) for path selection.
 class PathSelector {
  public:
   PathSelector(const Graph& g, const WeightAssignment& w)
-      : graph_(&g), weights_(&w), mask_(g), bfs_(g), dijkstra_(g, w) {}
+      : graph_(&g), weights_(&w), mask_(g), pair_(g, w), dijkstra_(g, w) {}
 
   [[nodiscard]] GraphMask& mask() { return mask_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   [[nodiscard]] const WeightAssignment& weights() const { return *weights_; }
 
-  // Hop distance s→t under the current mask (full BFS; kInfHops if cut off).
+  // Hop distance s→t under the current mask (kInfHops if cut off).
   [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t) {
     ++bfs_runs_;
-    return bfs_.run(s, &mask_).hops[t];
+    return pair_.hops(s, t, &mask_);
   }
 
   // W-unique shortest path s→t under the current mask.
   [[nodiscard]] std::optional<RPath> w_path(Vertex s, Vertex t) {
     ++dijkstra_runs_;
-    const SpResult& r = dijkstra_.run(s, &mask_, t);
-    if (!r.reached(t)) return std::nullopt;
-    return RPath{extract_path(r, t), r.dist[t]};
+    return pair_.w_path(s, t, &mask_);
   }
 
   // Full W-SSSP under the current mask; result borrowed until next call.
@@ -84,33 +85,8 @@ class PathSelector {
     return dijkstra_.run(s, &mask_, kInvalidVertex);
   }
 
-  // dist(s, t, G ∖ {e}), memoized per edge for a fixed source: the same
-  // single-fault distance table is consulted for every target v on whose
-  // π(s,v) the edge e lies, so one BFS per tree edge serves all targets.
-  // The memo is a flat array indexed by EdgeId (edge ids are dense) with an
-  // epoch stamp per slot — no hashing on the lookup path, and changing the
-  // source flushes in O(1) by bumping the epoch while the hop vectors keep
-  // their capacity for reuse. Overwrites the scratch mask.
-  [[nodiscard]] std::uint32_t single_fault_distance(Vertex s, Vertex t,
-                                                    EdgeId e) {
-    if (memo_source_ != s) {
-      ++memo_epoch_cur_;
-      memo_source_ = s;
-    }
-    if (memo_hops_.empty()) {
-      memo_hops_.resize(graph_->num_edges());
-      memo_epoch_.resize(graph_->num_edges(), 0);
-    }
-    if (memo_epoch_[e] != memo_epoch_cur_) {
-      mask_.clear();
-      mask_.block_edge(e);
-      ++bfs_runs_;
-      memo_hops_[e] = bfs_.run(s, &mask_).hops;  // copy-assign reuses capacity
-      memo_epoch_[e] = memo_epoch_cur_;
-    }
-    return memo_hops_[e][t];
-  }
-
+  // Searches issued so far: hop-distance tests, and W-path selections plus
+  // W-SSSP trees (the latter is what FtBfsStats::dijkstra_runs reports).
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
   [[nodiscard]] std::uint64_t dijkstra_runs() const { return dijkstra_runs_; }
 
@@ -118,14 +94,10 @@ class PathSelector {
   const Graph* graph_;
   const WeightAssignment* weights_;
   GraphMask mask_;
-  Bfs bfs_;
+  BidirectionalBfs pair_;
   Dijkstra dijkstra_;
   std::uint64_t bfs_runs_ = 0;
   std::uint64_t dijkstra_runs_ = 0;
-  Vertex memo_source_ = kInvalidVertex;
-  std::uint32_t memo_epoch_cur_ = 1;
-  std::vector<std::uint32_t> memo_epoch_;             // per edge; lazily sized
-  std::vector<std::vector<std::uint32_t>> memo_hops_; // per edge; lazily sized
 };
 
 // Blocks π positions [k+1 .. l] on the mask (the vertex-removal part of

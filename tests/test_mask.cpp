@@ -74,6 +74,42 @@ TEST(GraphMask, BlockedEdgeBeatsWhitelist) {
   EXPECT_FALSE(m.edge_usable(e, 0, 1));
 }
 
+// The epoch is 32 bits: 2^32 - 1 clears wrap it. No slot — untouched, blocked
+// or whitelisted at some earlier epoch — may read as current afterwards.
+TEST(GraphMask, EpochWraparoundForgetsStaleStamps) {
+  const Graph g = path_graph(4);
+  const EdgeId e01 = g.find_edge(0, 1);
+  const EdgeId e12 = g.find_edge(1, 2);
+  GraphMask m(g);
+  m.block_vertex(1);  // stamped with the first epoch, which recurs on wrap
+  m.block_edge(e12);
+  m.allow_edge(e01);
+  // Advance to the last epoch before the wrap and stamp there too.
+  for (std::uint64_t i = 0; i + 2 < (std::uint64_t{1} << 32); ++i) m.clear();
+  EXPECT_FALSE(m.vertex_blocked(1));
+  m.block_vertex(3);
+  m.allow_edge(e12);
+
+  m.clear();  // wraps
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_FALSE(m.vertex_blocked(v)) << v;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_FALSE(m.edge_blocked(e)) << e;
+  }
+  m.restrict_incident_edges(1);
+  EXPECT_FALSE(m.edge_usable(e01, 0, 1));  // stale whitelist entries are gone
+  EXPECT_FALSE(m.edge_usable(e12, 1, 2));
+
+  // The mask still works after the wrap.
+  m.allow_edge(e01);
+  m.block_vertex(2);
+  EXPECT_TRUE(m.edge_usable(e01, 0, 1));
+  EXPECT_TRUE(m.vertex_blocked(2));
+  m.clear();
+  EXPECT_FALSE(m.vertex_blocked(2));
+}
+
 TEST(BlockEdges, BlocksAll) {
   const Graph g = cycle_graph(5);
   GraphMask m(g);
