@@ -54,9 +54,19 @@ class LineFramer {
   }
 
   // True when bytes of an unterminated line are pending (or being discarded).
-  // A stream that ends mid-line is a truncated request: the caller decides
-  // whether that deserves a parse error (it never silently serves).
   [[nodiscard]] bool mid_line() const { return !buf_.empty() || discarding_; }
+
+  // End of stream: delivers a pending unterminated final line exactly as if
+  // its newline had arrived (an oversized one as the `oversized` event); no-op
+  // when nothing is pending. The caller decides when a stream has really
+  // ended — a peer's EOF serves the tail, a shutdown drain drops it.
+  template <typename OnLine>
+  void flush(OnLine&& on_line) {
+    if (mid_line()) {
+      const char newline = '\n';
+      feed(&newline, 1, on_line);
+    }
+  }
 
   [[nodiscard]] std::size_t max_line_bytes() const { return max_line_bytes_; }
 

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -23,6 +24,11 @@
 namespace ftbfs {
 
 namespace {
+
+// Queued lines a worker takes per pop: the whole run is parsed before any
+// admission wait, then admitted back-to-back, so one queue lock and (per
+// connection run) one ticket-lock handoff cover up to this many requests.
+constexpr std::size_t kAdmissionBatch = 8;
 
 [[noreturn]] void die(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
@@ -61,12 +67,6 @@ std::int64_t peek_request_id(const std::string& line) {
 
 NetServer::NetServer(TenantRegistry& registry, NetServerConfig config)
     : registry_(&registry), config_(std::move(config)) {
-  if (config_.threads == 0) config_.threads = 1;
-  if (config_.queue_capacity == 0) {
-    config_.queue_capacity = 16u * config_.threads;
-  }
-  queue_ = std::make_unique<BoundedQueue<NetJob>>(config_.queue_capacity);
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) die("socket");
   const int one = 1;
@@ -92,25 +92,58 @@ NetServer::NetServer(TenantRegistry& registry, NetServerConfig config)
   }
   port_ = ntohs(bound.sin_port);
 
+  open_loop();
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = listen_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+    die("epoll_ctl");
+  }
+  // The EMFILE escape hatch (see shed_via_spare_fd). Failing to reserve it is
+  // survivable — the server just loses the shedding behavior at the limit.
+  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
+
+NetServer::NetServer(TenantRegistry& registry, NetServerConfig config,
+                     int connected_fd)
+    : registry_(&registry), config_(std::move(config)) {
+  open_loop();
+  const int flags = ::fcntl(connected_fd, F_GETFL);
+  if (flags < 0 || ::fcntl(connected_fd, F_SETFL, flags | O_NONBLOCK) != 0) {
+    die("fcntl(O_NONBLOCK)");
+  }
+  // epoll refuses regular files (EPERM); replies go out through send().
+  if (!add_conn(connected_fd)) die("epoll_ctl");
+}
+
+void NetServer::open_loop() {
+  if (config_.threads == 0) config_.threads = 1;
+  if (config_.queue_capacity == 0) {
+    config_.queue_capacity = 16u * config_.threads;
+  }
+  queue_ = std::make_unique<BoundedQueue<NetJob>>(config_.queue_capacity);
+
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) die("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) die("eventfd");
   if (::pipe2(sig_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) die("pipe2");
-
-  auto watch = [&](int fd) {
+  for (const int fd : {wake_fd_, sig_pipe_[0]}) {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) die("epoll_ctl");
-  };
-  watch(listen_fd_);
-  watch(wake_fd_);
-  watch(sig_pipe_[0]);
+  }
+}
 
-  // The EMFILE escape hatch (see shed_via_spare_fd). Failing to reserve it is
-  // survivable — the server just loses the shedding behavior at the limit.
-  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+bool NetServer::add_conn(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
+  conns_.emplace(fd, std::make_unique<Conn>(fd, config_.max_line_bytes));
+  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 NetServer::~NetServer() {
@@ -137,37 +170,76 @@ void NetServer::request_reload() {
 // ---------------------------------------------------------------------------
 // Worker side: queue → LineJob → per-connection output buffer.
 
+// Each pop takes up to kAdmissionBatch queued lines and runs them in three
+// phases: parse every line (no ordering), admit in FIFO order, then execute,
+// format and deliver. In ordered mode the admission phase waits, per run of
+// one connection's jobs, for that connection's previous ticket.
+//
+// Deadlock-freedom: a job only ever waits for *its own connection's* earlier
+// tickets. Tickets are assigned at push time and the queue is FIFO, so each
+// of those earlier jobs sits earlier in the same batch (already admitted by
+// this worker, which admits in order) or in a batch popped earlier. Among the
+// batches still admitting, the one popped first therefore waits on nothing
+// unadmitted, so some worker always makes progress. Execute-phase waits (on
+// a cache line another job is filling) only point at jobs admitted earlier,
+// and each worker executes its batch in admission order, so they cannot
+// close a cycle either.
 void NetServer::worker_main() {
-  while (auto job = queue_->pop()) {
-    std::string line;
-    const bool stamp_seq = !config_.ordered;
-    if (job->oversized) {
-      counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-      ParsedRequest pr;
-      pr.status = ParseStatus::kSyntax;
-      pr.error = "request line exceeds " +
-                 std::to_string(config_.max_line_bytes) + " bytes";
-      line = format_parse_error_line(
-          pr, stamp_seq ? static_cast<std::int64_t>(job->seq) : -1);
-    } else {
-      LineJob lj(*registry_, job->line, static_cast<std::int64_t>(job->seq),
-                 stamp_seq, counters_, job->arrival);
-      lj.admit();
-      line = lj.finish();
+  std::vector<NetJob> batch;
+  std::vector<std::optional<LineJob>> jobs;  // nullopt: oversized line
+  std::vector<std::string> lines;
+  const bool stamp_seq = !config_.ordered;
+  while (queue_->pop_batch(batch, kAdmissionBatch) > 0) {
+    const std::size_t count = batch.size();
+    jobs.resize(count);
+    lines.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const NetJob& job = batch[i];
+      if (job.oversized) {
+        counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+        ParsedRequest pr;
+        pr.status = ParseStatus::kSyntax;
+        pr.error = "request line exceeds " +
+                   std::to_string(config_.max_line_bytes) + " bytes";
+        lines[i] = format_parse_error_line(
+            pr, stamp_seq ? static_cast<std::int64_t>(job.seq) : -1);
+      } else {
+        jobs[i].emplace(*registry_, job.line,
+                        static_cast<std::int64_t>(job.seq), stamp_seq,
+                        counters_, job.arrival);
+      }
     }
-    Conn* c = job->conn;
-    deliver(*c, job->seq, std::move(line));
-    // Ready-list insert must happen BEFORE the inflight decrement: the loop
-    // only frees a connection it observes with inflight == 0 && !in_ready, so
-    // this order guarantees the worker never touches a freed Conn.
-    bool expected = false;
-    if (c->in_ready.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel)) {
-      const std::lock_guard lock(ready_mutex_);
-      ready_.push_back(c);
+    for (std::size_t i = 0; i < count;) {
+      Conn* c = batch[i].conn;
+      std::size_t end = i + 1;
+      while (end < count && batch[end].conn == c) ++end;
+      // FIFO + tickets at push: a same-connection run holds dense tickets.
+      if (config_.ordered) c->admission.wait_for(batch[i].ticket);
+      for (std::size_t k = i; k < end; ++k) {
+        if (jobs[k].has_value()) jobs[k]->admit();
+      }
+      if (config_.ordered) c->admission.advance_n(end - i);
+      i = end;
     }
-    c->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (jobs[i].has_value()) {
+        lines[i] = jobs[i]->finish();
+        jobs[i].reset();  // releases the tenant pin
+      }
+      Conn* c = batch[i].conn;
+      deliver(*c, batch[i].seq, std::move(lines[i]));
+      // Ready-list insert must happen BEFORE the inflight decrement: the loop
+      // only frees a connection it observes with inflight == 0 && !in_ready,
+      // so this order guarantees the worker never touches a freed Conn.
+      bool expected = false;
+      if (c->in_ready.compare_exchange_strong(expected, true,
+                                              std::memory_order_acq_rel)) {
+        const std::lock_guard lock(ready_mutex_);
+        ready_.push_back(c);
+      }
+      c->inflight.fetch_sub(1, std::memory_order_acq_rel);
+      jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+    }
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
   }
@@ -252,21 +324,14 @@ void NetServer::handle_accept() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    conns_.emplace(fd, std::make_unique<Conn>(fd, config_.max_line_bytes));
-    conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+    if (!add_conn(fd)) ::close(fd);
   }
 }
 
 bool NetServer::drain_backlog(Conn& c) {
   while (!c.backlog.empty()) {
     NetJob& job = c.backlog.front();
+    job.ticket = c.next_ticket;
     c.inflight.fetch_add(1, std::memory_order_acq_rel);
     if (!queue_->try_push(job)) {
       c.inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -277,6 +342,7 @@ bool NetServer::drain_backlog(Conn& c) {
       }
       return false;
     }
+    ++c.next_ticket;
     c.backlog.pop_front();
   }
   c.parked_for_queue = false;
@@ -316,6 +382,20 @@ void NetServer::handle_readable(Conn& c) {
   if (!c.backlog.empty()) return;
   static fp::Failpoint& fp_read = fp::site("net.read");
   const auto now = std::chrono::steady_clock::now();
+  const auto on_line = [&](const std::string& line, bool oversized) {
+    // Blank lines are not requests: skipped without taking a request index.
+    if (!oversized && line.find_first_not_of(" \t\r") == std::string::npos) {
+      return;
+    }
+    NetJob job;
+    job.conn = &c;
+    job.seq = c.next_seq++;
+    job.oversized = oversized;
+    job.line = line;
+    job.arrival = now;
+    jobs_outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    c.backlog.push_back(std::move(job));
+  };
   char buf[65536];
   while (true) {
     ssize_t n;
@@ -326,17 +406,7 @@ void NetServer::handle_readable(Conn& c) {
       n = ::read(c.fd, buf, sizeof buf);
     }
     if (n > 0) {
-      c.framer.feed(buf, static_cast<std::size_t>(n),
-                    [&](const std::string& line, bool oversized) {
-                      NetJob job;
-                      job.conn = &c;
-                      job.seq = c.next_seq++;
-                      job.oversized = oversized;
-                      job.line = line;
-                      job.arrival = now;
-                      jobs_outstanding_.fetch_add(1, std::memory_order_acq_rel);
-                      c.backlog.push_back(std::move(job));
-                    });
+      c.framer.feed(buf, static_cast<std::size_t>(n), on_line);
       if (!drain_backlog(c)) break;  // admission ring full: park
       bool write_parked;
       {
@@ -347,7 +417,10 @@ void NetServer::handle_readable(Conn& c) {
       continue;
     }
     if (n == 0) {
+      // The peer is done sending: its unterminated last line is a request.
       c.read_closed = true;
+      c.framer.flush(on_line);
+      drain_backlog(c);
       break;
     }
     if (errno == EINTR) continue;
@@ -659,6 +732,8 @@ void NetServer::run() {
     reap_zombies();
     for (const int fd : pending_close_) ::close(fd);
     pending_close_.clear();
+    // Nothing left to serve and no listener to bring more: drain and return.
+    if (listen_fd_ < 0 && conns_.empty()) begin_drain();
   }
 
   queue_->close();

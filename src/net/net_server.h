@@ -1,23 +1,34 @@
-// Non-blocking socket front-end for `ftbfs serve --listen`.
+// Non-blocking stream-socket front-end: the one serving pipeline behind
+// `ftbfs serve`, over TCP (`--listen`) and over stdin/stdout alike.
 //
 // One epoll event loop (the thread that calls run()) owns every socket:
 // it accepts connections, reassembles JSONL request lines (net/framing.h),
 // and writes response bytes. A pool of worker threads owns every answer:
-// lines flow loop → BoundedQueue → workers, each worker runs the same
-// LineJob parse/admit/finish pipeline the stdin serve loops use
-// (service/tenant.h), and finished response lines flow back worker → loop
-// through per-connection buffers plus an eventfd wakeup. The loop never
-// computes and the workers never touch a socket.
+// lines flow loop → BoundedQueue → workers, each worker runs the LineJob
+// parse/admit/finish pipeline (service/tenant.h), and finished response
+// lines flow back worker → loop through per-connection buffers plus an
+// eventfd wakeup. The loop never computes and the workers never touch a
+// socket. Without a listener the server serves one already-connected stream
+// socket — the CLI hands it one end of a socketpair whose other end is
+// pumped to and from stdin/stdout — and run() returns once that connection
+// has finished.
 //
-// Ordering. Responses on one connection are emitted in that connection's
-// request order when `ordered` is set (a per-connection resequencer holds
-// out-of-order completions back); relaxed mode emits in completion order and
-// stamps `seq` (the connection-local request index) into responses to id-less
-// requests so they stay correlatable — exactly the stdin contract, applied
-// per connection. Cross-connection order is never defined.
+// Framing. Whitespace-only lines are skipped without consuming a request
+// index; at a peer's EOF an unterminated final line is served as if its
+// newline had arrived (a drain drops it — see below).
+//
+// Ordering. With `ordered` set, each connection is a replayable stream: its
+// requests are *admitted* in request order (a per-connection ticket lock, so
+// cache and pool decisions — `cache_hit` flags included — are exactly those
+// of sequential serving) and its responses are emitted in request order (a
+// per-connection reorder buffer holds out-of-order completions back). Relaxed
+// mode does neither: responses go out in completion order with `seq` (the
+// connection-local request index) stamped into responses to id-less requests
+// so they stay correlatable. Cross-connection order — and so which of two
+// connections racing for one scenario gets the cache hit — is never defined.
 //
 // Backpressure, two rings of it, both by *parking the connection* (dropping
-// its EPOLLIN interest so the kernel's TCP window does the rest):
+// its EPOLLIN interest so the kernel's socket buffer does the rest):
 //   * admission ring — the BoundedQueue is full: parsed lines wait in the
 //     connection's backlog and the loop retries on the next worker wakeup;
 //   * write ring — the peer is not reading: once the connection's pending
@@ -67,7 +78,7 @@ struct NetServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; NetServer::port() has the result
   unsigned threads = 1;
-  bool ordered = true;  // per-connection response order (see file comment)
+  bool ordered = true;  // per-connection admission + response order
   std::size_t max_line_bytes = 1u << 20;
   std::size_t write_park_bytes = 1u << 20;
   std::size_t queue_capacity = 0;  // admission queue slots; 0 = 16 * threads
@@ -88,17 +99,24 @@ class NetServer {
   // Binds and listens immediately (so callers can print the port before
   // run()); throws std::runtime_error with errno context on failure.
   NetServer(TenantRegistry& registry, NetServerConfig config);
+
+  // No listener: serves the already-connected stream socket `connected_fd`
+  // (ownership passes to the server; config.host/port are unused) and run()
+  // returns once that connection has finished — its peer half-closed and
+  // every answer is flushed — or after a drain.
+  NetServer(TenantRegistry& registry, NetServerConfig config,
+            int connected_fd);
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  // The bound port (resolves config.port == 0).
+  // The bound port (resolves config.port == 0); 0 without a listener.
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  // Runs the event loop until request_shutdown() and the drain completes.
-  // Call from exactly one thread; worker threads are spawned and joined
-  // inside.
+  // Runs the event loop until the drain completes: after request_shutdown(),
+  // or — without a listener — once the last connection has finished. Call
+  // from exactly one thread; worker threads are spawned and joined inside.
   void run();
 
   // Async-signal-safe shutdown trigger (callable from a signal handler).
@@ -133,6 +151,10 @@ class NetServer {
   struct NetJob {
     Conn* conn = nullptr;
     std::uint64_t seq = 0;  // connection-local request index
+    // Ordered mode: the connection-local admission turn, assigned when the
+    // job enters the queue — lines shed from the backlog never take one, so
+    // a connection's tickets stay dense.
+    std::uint64_t ticket = 0;
     bool oversized = false;
     std::string line;
     // When the bytes arrived — the moment the request's deadline clock
@@ -149,6 +171,7 @@ class NetServer {
 
     // --- loop-thread-only state ---------------------------------------------
     std::uint64_t next_seq = 0;        // next request index to assign
+    std::uint64_t next_ticket = 0;     // next admission ticket to assign
     std::deque<NetJob> backlog;        // parsed lines the queue refused
     bool read_closed = false;          // peer sent EOF
     bool reading = true;               // EPOLLIN currently armed
@@ -165,12 +188,17 @@ class NetServer {
     std::uint64_t next_out = 0;            // ordered mode: next seq to emit
     std::map<std::uint64_t, std::string> reorder;  // ordered mode holdback
 
+    // --- worker-only state --------------------------------------------------
+    RequestSequencer admission;  // ordered mode: admissions in ticket order
+
     // --- cross-thread flags -------------------------------------------------
     std::atomic<bool> dead{false};           // error/hangup: drop everything
     std::atomic<std::uint64_t> inflight{0};  // jobs queued or being served
     std::atomic<bool> in_ready{false};       // already on the ready list
   };
 
+  void open_loop();             // epoll set, eventfd, signal self-pipe
+  bool add_conn(int fd);        // registers a connected, non-blocking socket
   void worker_main();
   void deliver(Conn& c, std::uint64_t seq, std::string line);
 

@@ -17,17 +17,17 @@
 // retired tenant's graph and service outlive every request that routed to it;
 // reap_retired() frees retired tenants whose pin count has hit zero.
 //
-// LineJob is the one request-line serving pipeline shared by every front-end
-// (the stdin loops in ftbfs_cli and the socket workers in src/net/): it
-// splits a raw JSONL line into the same three phases OracleService exposes —
+// LineJob is the request-line serving pipeline the NetServer workers run
+// (src/net/; stdin is one of its connections): it splits a raw JSONL line
+// into the same three phases OracleService exposes —
 //   parse   (JSON + tenant route + fault resolution; thread-private)
 //   admit   (deadline + rate-limit + quota gates + OracleService::admit —
 //            everything that reads or advances shared serving state; ordered
 //            serve modes run this slice under their sequencer turn)
 //   finish  (deadline recheck + OracleService::execute + formatting;
 //            thread-private)
-// — so ordered, relaxed, batched, stdin, and socket serving cannot drift
-// apart in how they answer a line.
+// — so ordered and relaxed serving cannot drift apart in how they answer a
+// line.
 #pragma once
 
 #include <algorithm>
@@ -232,9 +232,8 @@ class TenantRegistry {
   //                 "cache_warm": false}, ...]}
   // `name` plus one of `graph`/`snapshot` are required (both = fingerprint
   // cross-check); everything else defaults to `base`. Unknown keys warn on
-  // stderr under schema 2. Manifests without "schema" (or with "schema": 1)
-  // parse with schema-1 semantics — no snapshot/rate/deadline keys, unknown
-  // keys fatal — plus a deprecation warning. Throws GraphIoError on
+  // stderr. A manifest without "schema": 2 (schema 1 was a bare array or an
+  // object without "schema") is rejected. Throws GraphIoError on
   // unreadable/malformed manifests or graphs, SnapshotError on snapshot
   // rejections.
   void load_manifest(const std::string& path, const ServiceConfig& base = {});
@@ -298,7 +297,7 @@ class TenantRegistry {
   std::vector<std::unique_ptr<Tenant>> retired_;  // unroutable, draining
 };
 
-// Wire-level counters every serve loop shares (requests that never reach a
+// Wire-level counters a server's workers share (requests that never reach a
 // service): parse errors, resolution refusals (bad edges / unknown tenants),
 // quota/rate/deadline refusals, and loads shed under queue pressure.
 struct WireCounters {
@@ -346,7 +345,7 @@ class LineJob {
  public:
   // Parse phase. Runs anywhere; touches no shared serving state beyond the
   // registry lookup (shared lock + pin) and the wire counters. `arrival` is
-  // when the request hit the process (socket framing / stdin read) — the
+  // when the request hit the process (when its line was framed) — the
   // moment its deadline clock started; defaults to construction time.
   LineJob(TenantRegistry& registry, const std::string& line, std::int64_t seq,
           bool stamp_seq, WireCounters& counters,

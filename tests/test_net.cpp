@@ -1,5 +1,5 @@
 // End-to-end tests for the epoll socket front-end (src/net/): socket serving
-// must be answer-identical to stdin serving, survive hostile framing, route
+// must be answer-identical to in-process serving, survive hostile framing, route
 // between tenants, enforce quotas without perturbing the innocent tenant, and
 // hold up under hundreds of concurrent pipelined connections (the stress test
 // also runs under TSan in CI). Clients here are plain blocking sockets with
@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -106,6 +107,32 @@ struct RunningServer {
   std::thread thread;
 };
 
+// Serves `stream` on one end of a socketpair through a listener-less server
+// (the `ftbfs serve` stdin shape) and returns every response byte. The writer
+// half-closes after the stream; run() must then return on its own.
+std::string serve_over_socketpair(TenantRegistry& registry,
+                                  const NetServerConfig& config,
+                                  const std::string& stream) {
+  int pair[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair), 0);
+  NetServer server(registry, config, pair[0]);
+  std::thread loop([&] { server.run(); });
+  std::thread writer([&] {
+    send_all(pair[1], stream);
+    ::shutdown(pair[1], SHUT_WR);
+  });
+  std::string out;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(pair[1], chunk, sizeof chunk, 0)) > 0) {
+    out.append(chunk, static_cast<std::size_t>(n));
+  }
+  writer.join();
+  loop.join();
+  ::close(pair[1]);
+  return out;
+}
+
 std::string distance_request(int id, unsigned target,
                              const std::string& tenant = "") {
   std::string line = "{\"id\":" + std::to_string(id) +
@@ -143,8 +170,8 @@ TEST(NetServer, OrderedSocketMatchesInProcessServing) {
   }
   send_all(fd, stream);
   const std::vector<std::string> got = recv_lines(fd, expected.size());
-  // Byte-identical, cache_hit flags included: one worker admits in arrival
-  // order, exactly like the sequential stdin loop.
+  // Byte-identical, cache_hit flags included: admissions run in request
+  // order, exactly like the in-process sequential replay.
   EXPECT_EQ(got, expected);
   ::close(fd);
 }
@@ -171,6 +198,64 @@ TEST(NetServer, ByteAtATimeFramingAndHalfCloseDrain) {
   EXPECT_EQ(field(got[1], "status"), "ok");
   EXPECT_TRUE(recv_eof(fd));
   ::close(fd);
+}
+
+TEST(NetServer, BlankLinesAreSkippedAndAnUnterminatedTailIsServed) {
+  TenantRegistry registry;
+  registry.add("default", cycle_graph(12));
+  NetServerConfig config;
+  config.threads = 1;
+  config.ordered = false;  // relaxed: the stamped seq shows the numbering
+  RunningServer rs(registry, config);
+  const int fd = connect_loopback(rs.server.port());
+
+  // Two blank lines, a request, and an id-less request whose newline never
+  // comes: blank lines take no request index, and EOF completes the tail.
+  send_all(fd, "\n   \n" + distance_request(1, 3) +
+                   "{\"source\":0,\"targets\":[6]}");
+  ::shutdown(fd, SHUT_WR);
+  const std::vector<std::string> got = recv_lines(fd, 3);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(field(got[0], "id"), "1");
+  EXPECT_EQ(field(got[0], "status"), "ok");
+  EXPECT_EQ(field(got[1], "seq"), "1") << got[1];
+  EXPECT_EQ(field(got[1], "status"), "ok") << got[1];
+  EXPECT_TRUE(recv_eof(fd));
+  ::close(fd);
+}
+
+TEST(NetServer, OrderedAdmissionIsDeterministicPerConnection) {
+  // One connection pipelines far more requests than a worker batch (8) and
+  // than the 4-worker admission queue (64 slots) over six repeating fault
+  // scenarios and a 4-line cache, so cache_hit flags and evictions depend on
+  // admission order. The response bytes must not depend on the worker count.
+  const Graph grid = grid_graph(6, 6);
+  const char* scenarios[] = {"[[0,1]]",          "[[0,6]]",
+                             "[[7,8],[13,14]]",  "[[14,15]]",
+                             "[[20,26],[21,27]]", "[[2,3],[8,9]]"};
+  std::string stream;
+  for (unsigned i = 0; i < 300; ++i) {
+    // Two targets: single-target misses skip the cache by design.
+    stream += "{\"id\":" + std::to_string(i) + ",\"source\":0,\"targets\":[" +
+              std::to_string(1 + i * 7 % 35) + ",35],\"fault_edges\":" +
+              scenarios[(i * 5 + i / 4) % 6] + "}\n";
+  }
+  const auto serve = [&](unsigned threads) {
+    TenantRegistry registry;
+    ServiceConfig sc;
+    sc.cache_capacity = 4;
+    registry.add("default", grid, sc);
+    NetServerConfig config;
+    config.threads = threads;
+    return serve_over_socketpair(registry, config, stream);
+  };
+  const std::string reference = serve(1);
+  EXPECT_EQ(std::count(reference.begin(), reference.end(), '\n'), 300);
+  EXPECT_NE(reference.find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_NE(reference.find("\"cache_hit\":false"), std::string::npos);
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_EQ(serve(4), reference) << "run " << run;
+  }
 }
 
 TEST(NetServer, OversizedLineAnsweredWithoutKillingTheConnection) {
@@ -549,10 +634,13 @@ TEST(NetRobustness, QueuePressureShedsOverloadedInsteadOfParkingForever) {
   RunningServer rs(registry, config);
   const int fd = connect_loopback(rs.server.port());
 
+  // A stalled admission ticket would hang the reads below; fail instead.
+  const timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+
   std::string stream;
   for (int i = 0; i < 12; ++i) stream += distance_request(i, 1 + i);
   send_all(fd, stream);
-  ::shutdown(fd, SHUT_WR);
   const std::vector<std::string> got = recv_lines(fd, 12);
   ASSERT_EQ(got.size(), 12u);
   int ok = 0, overloaded = 0;
@@ -566,6 +654,17 @@ TEST(NetRobustness, QueuePressureShedsOverloadedInsteadOfParkingForever) {
   EXPECT_GT(ok, 0);
   EXPECT_GT(overloaded, 0);
   EXPECT_EQ(ok + overloaded, 12);
+  // Shed lines never took an admission ticket, so later requests on the
+  // same connection are admitted without waiting on them (one at a time, so
+  // none of them parks long enough to be shed in turn).
+  for (int i = 12; i < 15; ++i) {
+    send_all(fd, distance_request(i, 1 + i));
+    const std::vector<std::string> later = recv_lines(fd, 1);
+    ASSERT_EQ(later.size(), 1u) << "request " << i << " stalled";
+    EXPECT_EQ(field(later[0], "id"), std::to_string(i)) << later[0];
+    EXPECT_EQ(field(later[0], "status"), "ok") << later[0];
+  }
+  ::shutdown(fd, SHUT_WR);
   EXPECT_TRUE(recv_eof(fd));
   ::close(fd);
   rs.shutdown_and_join();

@@ -519,14 +519,17 @@ TEST_F(PersistManifest, SchemaTwoMismatchedGraphFailsClosed) {
 }
 
 TEST_F(PersistManifest, SnapshotKeyNeedsSchemaTwo) {
+  // Without "schema": 2 the manifest is schema 1, which is rejected as a
+  // whole — before the "snapshot" key is even looked at.
   TenantRegistry registry;
   try {
     registry.load_manifest(write_manifest(
         "v1_snap", "{\"tenants\": [{\"name\": \"alpha\", "
                    "\"snapshot\": \"" + snapshot_path_ + "\"}]}"));
-    FAIL() << "schema-1 manifest with \"snapshot\" loaded";
+    FAIL() << "schema-1 manifest loaded";
   } catch (const GraphIoError& e) {
-    EXPECT_NE(std::string(e.what()).find("schema"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("\"schema\": 2"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -558,13 +561,21 @@ TEST_F(PersistManifest, SchemaTwoUnknownKeysAreNotFatal) {
   EXPECT_NE(registry.find("alpha"), nullptr);
 }
 
-TEST_F(PersistManifest, SchemaOneUnknownKeysStayFatal) {
+TEST_F(PersistManifest, SchemaOneIsRejected) {
   TenantRegistry registry;
-  EXPECT_THROW(registry.load_manifest(write_manifest(
-                   "v1_unknown", "{\"tenants\": [{\"name\": \"alpha\", "
-                                 "\"graph\": \"" + graph_path_ + "\", "
-                                 "\"color\": \"blue\"}]}")),
+  const std::string tenant =
+      "{\"name\": \"alpha\", \"graph\": \"" + graph_path_ + "\"}";
+  EXPECT_THROW(registry.load_manifest(write_manifest("v1_array",
+                                                     "[" + tenant + "]")),
                GraphIoError);
+  EXPECT_THROW(registry.load_manifest(write_manifest(
+                   "v1_object", "{\"tenants\": [" + tenant + "]}")),
+               GraphIoError);
+  EXPECT_THROW(registry.load_manifest(write_manifest(
+                   "v1_explicit",
+                   "{\"schema\": 1, \"tenants\": [" + tenant + "]}")),
+               GraphIoError);
+  EXPECT_EQ(registry.size(), 0u);
 }
 
 // --- injected I/O faults on the save/load path (docs/robustness.md) ---------

@@ -159,6 +159,15 @@ TEST(ProtocolFuzz, FramerReassemblesAcrossArbitraryChunking) {
     EXPECT_EQ(lines[2].line, "{\"b\":2}");
     for (const FramedLine& l : lines) EXPECT_FALSE(l.oversized);
     EXPECT_TRUE(framer.mid_line());  // "xyz" never got its newline
+    // End of stream: the unterminated tail surfaces as one last line.
+    std::vector<std::string> tail;
+    framer.flush([&](const std::string& line, bool big) {
+      EXPECT_FALSE(big);
+      tail.push_back(line);
+    });
+    EXPECT_EQ(tail, std::vector<std::string>{"xyz"});
+    EXPECT_FALSE(framer.mid_line());
+    framer.flush([&](const std::string&, bool) { ADD_FAILURE(); });
   }
 }
 

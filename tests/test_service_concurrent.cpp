@@ -4,8 +4,8 @@
 // sequenced serve mode is *byte-identical* (formatted wire lines included)
 // to sequential serving — one ticket at a time or K admissions per batch —
 // the relaxed mode emits a correlatable permutation of the same lines,
-// engine scratch leases never cross-talk, and the
-// work-queue/resequencer plumbing preserves FIFO and output order. These are
+// engine scratch leases never cross-talk, and the work queue preserves FIFO
+// order. These are
 // the tests the TSan CI job runs — every assertion doubles as a data-race
 // probe under -fsanitize=thread.
 #include <gtest/gtest.h>
@@ -297,7 +297,7 @@ TEST(ConcurrentService, SequencedServeReplaysEvictionsExactly) {
 }
 
 TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
-  // The `serve --mode ordered --batch K` shape: workers pull dense runs of K
+  // NetServer's ordered batched admission: workers pull dense runs of K
   // consecutive tickets, admit the whole run under one sequencer turn
   // (wait_for(first) … advance_n(K)), and execute out of order. The formatted
   // lines — cache_hit flags and eviction effects included — must match the
@@ -555,16 +555,18 @@ TEST(ConcurrentSim, ThreadedRoutingMatchesSerial) {
 TEST(WorkQueue, FifoOrderAndCloseSemantics) {
   BoundedQueue<int> queue(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.push(i));
-  for (int i = 0; i < 4; ++i) {
-    const auto item = queue.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);  // FIFO — the threaded serve loop depends on it
-  }
+  std::vector<int> batch;
+  ASSERT_EQ(queue.pop_batch(batch, 3), 3u);
+  // FIFO: a batch is a dense run of the oldest items — NetServer's ordered
+  // admission depends on it.
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
   queue.push(7);
   queue.close();
-  EXPECT_FALSE(queue.push(8));              // refused after close
-  EXPECT_EQ(queue.pop(), std::optional(7)); // drains before nullopt
-  EXPECT_EQ(queue.pop(), std::nullopt);
+  EXPECT_FALSE(queue.push(8));  // refused after close
+  ASSERT_EQ(queue.pop_batch(batch, 8), 2u);  // drains before reporting 0
+  EXPECT_EQ(batch, (std::vector<int>{3, 7}));
+  EXPECT_EQ(queue.pop_batch(batch, 8), 0u);
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(WorkQueue, BlockingProducersAndConsumers) {
@@ -573,7 +575,10 @@ TEST(WorkQueue, BlockingProducersAndConsumers) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 3; ++c) {
     consumers.emplace_back([&] {
-      while (const auto item = queue.pop()) sum.fetch_add(*item);
+      std::vector<int> batch;
+      while (queue.pop_batch(batch, 2) > 0) {
+        for (const int item : batch) sum.fetch_add(item);
+      }
     });
   }
   std::vector<std::thread> producers;
@@ -586,35 +591,6 @@ TEST(WorkQueue, BlockingProducersAndConsumers) {
   queue.close();
   for (std::thread& t : consumers) t.join();
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
-}
-
-TEST(Resequencer, CapBlocksLateEmittersUntilHeadOfLineFlushes) {
-  std::vector<std::string> out;
-  Resequencer reseq([&](const std::string& line) { out.push_back(line); },
-                    /*max_pending=*/2);
-  // A helper emits 1..3 while 0 (the head of the line) is still "computing";
-  // emit(3) must block at the cap until 0 flushes the prefix. The emitter
-  // whose turn it is (0) always passes the cap, so this cannot deadlock.
-  std::thread late([&] {
-    reseq.emit(1, "one");
-    reseq.emit(2, "two");
-    reseq.emit(3, "three");
-  });
-  reseq.emit(0, "zero");  // flushes the prefix and unparks the helper
-  late.join();
-  EXPECT_EQ(out, (std::vector<std::string>{"zero", "one", "two", "three"}));
-}
-
-TEST(Resequencer, RestoresOrderFromAnyCompletionOrder) {
-  std::vector<std::string> out;
-  Resequencer reseq([&](const std::string& line) { out.push_back(line); });
-  reseq.emit(2, "two");
-  reseq.emit(1, "one");
-  EXPECT_TRUE(out.empty());  // 0 still missing
-  reseq.emit(0, "zero");
-  EXPECT_EQ(out, (std::vector<std::string>{"zero", "one", "two"}));
-  reseq.emit(3, "three");
-  EXPECT_EQ(out.size(), 4u);
 }
 
 // One-word scenario keys for the unit tests; each word buffer must outlive

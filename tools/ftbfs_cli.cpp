@@ -15,29 +15,31 @@
 //   help     subcommand listing (help <command> = that command's --help)
 //
 // Flags follow one convention (tools/cli_flags.h): `--flag value` or
-// `--flag=value`, strict typed validation, unknown flags rejected. Old
-// spellings from earlier releases (--faults, --cache, --max-lazy) keep
-// working behind a stderr deprecation warning. Exit codes: 0 success,
-// 1 runtime failure (I/O, snapshot rejection, socket setup), 2 usage.
+// `--flag=value`, strict typed validation, unknown flags rejected. Exit
+// codes: 0 success, 1 runtime failure (I/O, snapshot rejection, socket
+// setup), 2 usage.
 //
 // Structure construction is dispatched through the BuilderRegistry — any
 // registered algorithm name (or alias) works with --algo, and unknown names
 // list the registry. One-shot queries are served by a FaultQueryEngine over
 // the built structure; `serve` runs an OracleService over a lazily built
 // structure pool with scenario caching.
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
-#include <iostream>
-#include <sstream>
-#include <mutex>
+#include <exception>
+#include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +57,6 @@
 #include "service/oracle_service.h"
 #include "service/protocol.h"
 #include "service/tenant.h"
-#include "service/work_queue.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -143,7 +144,6 @@ FlagParser build_parser() {
              "parallel construction workers; the structure is byte-identical "
              "at any value (0 = auto)",
              "0");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -158,7 +158,6 @@ FlagParser verify_parser() {
              "exhaustive");
   p.optional("samples", "<int>", "fault sets drawn in sampled mode", "1000");
   p.optional("fault-model", "edge|vertex", "fault kind", "edge");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -173,7 +172,6 @@ FlagParser query_parser() {
   p.optional("algo", "<name>", "builder name or alias", "auto");
   p.optional("fault-model", "edge|vertex", "fault kind", "edge");
   p.optional("seed", "<int>", "tie-breaking weight seed", "1");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -210,8 +208,6 @@ FlagParser serve_parser() {
   p.optional("threads", "<n>", "worker threads (1..256)", "1");
   p.optional("mode", "ordered|relaxed",
              "response ordering contract (docs/serving.md)", "ordered");
-  p.optional("batch", "<k>", "admission turns drained per ticket acquisition",
-             "8");
   p.optional("max-requests", "<n>", "default tenant request quota (0 = off)",
              "0");
   p.optional("deadline-ms", "<n>",
@@ -223,17 +219,15 @@ FlagParser serve_parser() {
   p.optional("listen", "<host:port>", "serve over TCP instead of stdin");
   p.optional("shed-after-ms", "<n>",
              "answer `overloaded` after parking this long on a full admission "
-             "queue (--listen; 0 = park forever)",
-             "2000");
+             "queue (0 = park forever)",
+             "2000 with --listen, else 0");
   p.optional("write-stall-ms", "<n>",
              "evict a connection whose writes make no progress this long "
-             "(--listen; 0 = never)",
-             "30000");
+             "(0 = never)",
+             "30000 with --listen, else 0");
   p.optional("failpoints", "<schedule>",
              "arm fault-injection points (docs/robustness.md grammar; also "
              "read from $FTBFS_FAILPOINTS)");
-  p.deprecated("cache", "cache-capacity");
-  p.deprecated("max-lazy", "max-lazy-budget");
   return p;
 }
 
@@ -650,43 +644,111 @@ int cmd_query(const FlagParser& p) {
 
 // --- serve -------------------------------------------------------------------
 
-// Stop signal plumbing (docs/serving.md "Graceful shutdown"): SIGINT/SIGTERM
-// set the flag and nudge the socket server's self-pipe. The handlers are
-// installed WITHOUT SA_RESTART so a stdin serve loop blocked in getline fails
-// with EINTR, winds down through the normal close-queue/join-workers path
-// (flushing the resequencer), and prints its summary — instead of dying
-// mid-stream.
-volatile std::sig_atomic_t g_stop = 0;
-NetServer* g_net_server = nullptr;  // set before handlers are installed
+// Signal plumbing: SIGINT/SIGTERM drain the server (docs/serving.md
+// "Network serving & tenants"), SIGHUP reloads the --tenants manifest
+// (docs/robustness.md "SIGHUP hot reload"). Each handler only writes one byte
+// to the server's self-pipe; all the work runs on its loop thread.
+NetServer* g_net_server = nullptr;  // set before the handlers are installed
 
 void handle_stop_signal(int) {
-  g_stop = 1;
   if (g_net_server != nullptr) g_net_server->request_shutdown();
 }
 
-// SIGHUP = hot manifest reload (docs/robustness.md "Hot reload"), socket mode
-// only: the stdin loops have no reload hook, so there SIGHUP keeps its
-// default meaning.
 void handle_reload_signal(int) {
   if (g_net_server != nullptr) g_net_server->request_reload();
 }
 
-void install_stop_handlers() {
+void install_signal_handlers() {
   struct sigaction sa = {};
-  sa.sa_handler = handle_stop_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocked reads must return EINTR
+  sa.sa_flags = SA_RESTART;
+  sa.sa_handler = handle_stop_signal;
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-void install_reload_handler() {
-  struct sigaction sa = {};
   sa.sa_handler = handle_reload_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;  // reload must not abort anything mid-read
   ::sigaction(SIGHUP, &sa, nullptr);
 }
+
+// `serve` without --listen: NetServer serves one end of a socketpair as its
+// only connection, and these two threads pump stdin into the other end
+// (half-closing it at EOF, so the server answers the tail and finishes) and
+// the responses back out to stdout. epoll refuses regular files (EPERM), and
+// stdin is often one, so the server cannot watch stdin/stdout directly.
+class StdioPumps {
+ public:
+  // Takes ownership of `fd`, the socketpair end the server does not serve.
+  explicit StdioPumps(int fd)
+      : fd_(fd),
+        in_([this] { pump_stdin(); }),
+        out_([this] { pump_stdout(); }) {}
+
+  // Once NetServer::run() has returned, the server has flushed every response
+  // and closed its end, so both pumps finish on their own; an exception
+  // unwinding past run() cuts them off instead.
+  ~StdioPumps() {
+    if (std::uncaught_exceptions() > 0) ::shutdown(fd_, SHUT_RDWR);
+    in_.join();
+    out_.join();
+    ::close(fd_);
+  }
+
+  StdioPumps(const StdioPumps&) = delete;
+  StdioPumps& operator=(const StdioPumps&) = delete;
+
+ private:
+  void pump_stdin() {
+    // fd_ reports POLLHUP once the server has closed its end (a drain), which
+    // is what ends this pump on an idle terminal.
+    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {fd_, 0, 0}};
+    char buf[65536];
+    while (true) {
+      if (::poll(fds, 2, -1) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      if (fds[1].revents != 0) return;
+      const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
+      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      if (n <= 0) break;  // EOF; an unreadable stdin ends the stream too
+      for (ssize_t off = 0; off < n;) {
+        const ssize_t sent = ::send(fd_, buf + off,
+                                    static_cast<std::size_t>(n - off),
+                                    MSG_NOSIGNAL);
+        if (sent < 0 && errno == EINTR) continue;
+        if (sent < 0) return;  // the server closed its end (a drain)
+        off += sent;
+      }
+    }
+    ::shutdown(fd_, SHUT_WR);
+  }
+
+  void pump_stdout() {
+    char buf[65536];
+    bool writable = true;
+    while (true) {
+      const ssize_t n = ::read(fd_, buf, sizeof buf);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;  // the server closed its end: every answer is out
+      // After a stdout failure keep draining, so the server never stalls.
+      for (ssize_t off = 0; writable && off < n;) {
+        const ssize_t put = ::write(STDOUT_FILENO, buf + off,
+                                    static_cast<std::size_t>(n - off));
+        if (put >= 0) {
+          off += put;
+        } else if (errno == EAGAIN) {
+          pollfd out = {STDOUT_FILENO, POLLOUT, 0};
+          ::poll(&out, 1, -1);
+        } else if (errno != EINTR) {
+          writable = false;
+        }
+      }
+    }
+  }
+
+  int fd_;
+  std::thread in_;
+  std::thread out_;
+};
 
 // The serve summary, reconciled against the response stream: refusals include
 // the wire-level ones (edge-resolution failures, unknown tenants, quota) that
@@ -821,10 +883,6 @@ int cmd_serve(const FlagParser& p) {
     p.fail("--mode must be ordered or relaxed");
   }
   const bool relaxed = mode == "relaxed";
-  // Admission turns drained per ticket-lock acquisition in ordered threaded
-  // mode (docs/serving.md "Batched admission"); relaxed workers use the same
-  // value as their queue-drain batch. 1 = the pre-batching behavior.
-  const std::size_t batch_size = p.get_uint("batch", 8, 1, 256);
 
   const bool warm_cache = p.get_switch("warm-cache", false);
   if (p.has("warm-cache") && !p.has("load")) {
@@ -897,182 +955,58 @@ int cmd_serve(const FlagParser& p) {
                      file_size_bytes(p.get("save"))));
   };
 
-  WireCounters counters;
-
-  if (p.has("listen")) {
-    // Socket front-end: same protocol, same LineJob pipeline, one JSONL
-    // stream per connection (src/net/net_server.h). Ordered mode means
-    // per-connection request order; relaxed stamps per-connection seqs.
-    NetServerConfig nc;
+  // One pipeline for both transports: a TCP listener, or stdin/stdout as
+  // the single connection of a listener-less server. A pipe has one client
+  // that cannot retry, so stdio neither sheds nor evicts unless asked to.
+  const bool over_tcp = p.has("listen");
+  NetServerConfig nc;
+  nc.threads = threads;
+  nc.ordered = !relaxed;
+  nc.shed_after_ms = static_cast<std::int64_t>(
+      p.get_uint("shed-after-ms", over_tcp ? 2000 : 0, 0, 1ull << 40));
+  nc.write_stall_ms = static_cast<std::int64_t>(
+      p.get_uint("write-stall-ms", over_tcp ? 30000 : 0, 0, 1ull << 40));
+  if (p.has("tenants")) {
+    // SIGHUP → re-read the manifest the server started with. Captures
+    // `registry` by reference (outlives the server) and the path/config by
+    // value; runs on the loop thread, so it may fprintf freely.
+    const std::string manifest_path = p.get("tenants");
+    nc.on_reload = [&registry, manifest_path, config] {
+      const ReloadSummary rs = registry.reload(manifest_path, config);
+      std::fprintf(stderr,
+                   "reloaded %s: %zu added, %zu updated, %zu retired, "
+                   "%zu reaped\n",
+                   manifest_path.c_str(), rs.added, rs.updated, rs.retired,
+                   rs.reaped);
+    };
+  }
+  std::unique_ptr<NetServer> server;
+  std::optional<StdioPumps> pumps;  // destroyed before the server
+  if (over_tcp) {
     parse_listen(p, p.get("listen"), nc);
-    nc.threads = threads;
-    nc.ordered = !relaxed;
-    nc.shed_after_ms = static_cast<std::int64_t>(
-        p.get_uint("shed-after-ms", 2000, 0, 1ull << 40));
-    nc.write_stall_ms = static_cast<std::int64_t>(
-        p.get_uint("write-stall-ms", 30000, 0, 1ull << 40));
-    if (p.has("tenants")) {
-      // SIGHUP → re-read the manifest the server started with. Captures
-      // `registry` by reference (outlives the server) and the path/config by
-      // value; runs on the loop thread, so it may fprintf freely.
-      const std::string manifest_path = p.get("tenants");
-      nc.on_reload = [&registry, manifest_path, config] {
-        const ReloadSummary rs = registry.reload(manifest_path, config);
-        std::fprintf(stderr,
-                     "reloaded %s: %zu added, %zu updated, %zu retired, "
-                     "%zu reaped\n",
-                     manifest_path.c_str(), rs.added, rs.updated, rs.retired,
-                     rs.reaped);
-      };
-    }
-    NetServer server(registry, nc);
-    g_net_server = &server;
-    install_stop_handlers();
-    install_reload_handler();
+    server = std::make_unique<NetServer>(registry, nc);
     std::fprintf(stderr, "listening on %s:%u\n", nc.host.c_str(),
-                 static_cast<unsigned>(server.port()));
+                 static_cast<unsigned>(server->port()));
     std::fflush(stderr);
-    server.run();
-    g_net_server = nullptr;
-    std::fprintf(stderr,
-                 "drained: %llu connections, %llu responses\n",
-                 static_cast<unsigned long long>(server.connections_accepted()),
-                 static_cast<unsigned long long>(server.responses_sent()));
-    save_at_drain();
-    print_serve_summary(registry, server.wire_counters());
-    return 0;
-  }
-
-  install_stop_handlers();
-  std::string line;
-  if (threads == 1) {
-    // One request per line in, one response per line out; responses are
-    // flushed per line so the stream works under a pipe. Relaxed mode with
-    // one thread is already in order — it differs only in stamping the
-    // correlation seq onto id-less lines, exactly as the workers would.
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      LineJob job(registry, line, static_cast<std::int64_t>(seq++), relaxed,
-                  counters);
-      job.admit();
-      const std::string out_line = job.finish();
-      std::fprintf(stdout, "%s\n", out_line.c_str());
-      std::fflush(stdout);
-    }
-  } else if (relaxed) {
-    // Relaxed pipeline (docs/serving.md "Ordered vs relaxed"): the reader
-    // feeds a bounded FIFO and workers serve with NO cross-request ordering —
-    // no ticket lock on admission, no reorder buffer on output. Responses are
-    // written as they finish; clients correlate by id (or by the stamped seq
-    // when the request carried none). Per-id response bytes match ordered
-    // mode; only the interleaving differs.
-    struct Item {
-      std::uint64_t seq;
-      std::string line;
-      // Read time: the deadline clock must cover queue wait, not start when a
-      // worker finally picks the line up.
-      std::chrono::steady_clock::time_point arrival;
-    };
-    BoundedQueue<Item> queue(4 * threads);
-    std::mutex out_mutex;
-    auto worker = [&] {
-      std::vector<Item> batch;
-      while (queue.pop_batch(batch, batch_size) > 0) {
-        for (Item& item : batch) {
-          LineJob job(registry, item.line,
-                      static_cast<std::int64_t>(item.seq), /*stamp_seq=*/true,
-                      counters, item.arrival);
-          job.admit();
-          const std::string out_line = job.finish();
-          const std::lock_guard lock(out_mutex);
-          std::fprintf(stdout, "%s\n", out_line.c_str());
-          std::fflush(stdout);
-        }
-      }
-    };
-    std::vector<std::thread> crew;
-    crew.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) crew.emplace_back(worker);
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      queue.push(Item{seq++, std::move(line), std::chrono::steady_clock::now()});
-      line.clear();
-    }
-    queue.close();
-    for (std::thread& t : crew) t.join();
   } else {
-    // Ordered threaded pipeline (docs/serving.md "Concurrency"): the reader
-    // feeds a bounded FIFO, workers parse and serve concurrently — the
-    // service runs each request's admission in ticket order, so the cache
-    // and pool evolve exactly as they would sequentially — and the
-    // resequencer writes responses back in request order. The stream is
-    // byte-identical to --threads 1.
-    //
-    // Admission is batched: a worker drains up to --batch items in one queue
-    // lock (FIFO ⇒ the batch is a dense run of consecutive tickets), parses
-    // them all OUTSIDE the ordered section, waits for the first ticket,
-    // admits the run back-to-back, and releases all its tickets in one
-    // advance_n — one ticket-lock handoff per batch instead of per request.
-    // Execution (and line formatting) then runs unordered as before.
-    struct Item {
-      std::uint64_t seq;
-      std::string line;
-      std::chrono::steady_clock::time_point arrival;  // read time (see above)
-    };
-    BoundedQueue<Item> queue(4 * threads);
-    RequestSequencer order;
-    // The reorder cap bounds memory when one slow request holds up the
-    // flush; blocked emitters stop popping, which parks the reader too.
-    Resequencer output(
-        [](const std::string& out_line) {
-          std::fprintf(stdout, "%s\n", out_line.c_str());
-          std::fflush(stdout);
-        },
-        64 * threads);
-    auto worker = [&] {
-      std::vector<Item> batch;
-      std::vector<LineJob> jobs;
-      while (queue.pop_batch(batch, batch_size) > 0) {
-        const std::size_t count = batch.size();
-        jobs.clear();
-        jobs.reserve(count);
-        for (const Item& item : batch) {
-          // Parse phase runs OUTSIDE the ordered section.
-          jobs.emplace_back(registry, item.line,
-                            static_cast<std::int64_t>(item.seq),
-                            /*stamp_seq=*/false, counters, item.arrival);
-        }
-        // One ordered section for the whole dense ticket run — admissions
-        // (quota gate included) happen in strict request order; locally
-        // answered lines burn their tickets as part of the same advance.
-        order.wait_for(batch.front().seq);
-        for (LineJob& job : jobs) job.admit();
-        order.advance_n(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          output.emit(batch[i].seq, jobs[i].finish());
-        }
-      }
-    };
-    std::vector<std::thread> crew;
-    crew.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) crew.emplace_back(worker);
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      queue.push(Item{seq++, std::move(line), std::chrono::steady_clock::now()});
-      line.clear();
+    int pair[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+      throw std::runtime_error(std::string("socketpair: ") +
+                               std::strerror(errno));
     }
-    queue.close();
-    for (std::thread& t : crew) t.join();
+    server = std::make_unique<NetServer>(registry, nc, pair[0]);
+    pumps.emplace(pair[1]);
   }
-
-  if (g_stop != 0) {
-    std::fprintf(stderr, "interrupted: drained in-flight requests\n");
-  }
+  g_net_server = server.get();
+  install_signal_handlers();
+  server->run();
+  g_net_server = nullptr;
+  pumps.reset();  // the stdout pump has copied the last response out
+  std::fprintf(stderr, "drained: %llu connections, %llu responses\n",
+               static_cast<unsigned long long>(server->connections_accepted()),
+               static_cast<unsigned long long>(server->responses_sent()));
   save_at_drain();
-  print_serve_summary(registry, counters);
+  print_serve_summary(registry, server->wire_counters());
   return 0;
 }
 
