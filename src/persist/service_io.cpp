@@ -187,7 +187,6 @@ void PersistAccess::restore_service(OracleService& service,
       reject("baseline names a pool entry the snapshot does not define");
     }
     FaultQueryEngine& engine = service.entries_[b.entry].engine;
-    if (!engine.delta_options().enabled) continue;  // nothing would read it
     const Graph& h = engine.structure_graph();
     validate_baseline(b, h);
     BfsResult tree;

@@ -87,9 +87,12 @@ struct ByteWriter {
   }
 
   // Bulk arrays are the hot 90% of a snapshot; memcpy them on little-endian
-  // hosts, spell out the conversion elsewhere.
+  // hosts, spell out the conversion elsewhere. An empty array may have a
+  // null data() and memcpy's pointers must be valid even for zero bytes, so
+  // empty arrays skip the copy (here and in ByteReader).
   void u32_array(std::span<const std::uint32_t> v) {
     u32(static_cast<std::uint32_t>(v.size()));
+    if (v.empty()) return;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = bytes.size();
       bytes.resize(old + v.size_bytes());
@@ -101,6 +104,7 @@ struct ByteWriter {
 
   void u64_array(std::span<const std::uint64_t> v) {
     u32(static_cast<std::uint32_t>(v.size()));
+    if (v.empty()) return;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = bytes.size();
       bytes.resize(old + v.size_bytes());
@@ -169,6 +173,7 @@ struct ByteReader {
     }
     need(static_cast<std::size_t>(count) * 4);
     std::vector<std::uint32_t> out(count);
+    if (count == 0) return out;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), p, static_cast<std::size_t>(count) * 4);
       p += static_cast<std::size_t>(count) * 4;
@@ -187,6 +192,7 @@ struct ByteReader {
     }
     need(static_cast<std::size_t>(count) * 8);
     std::vector<std::uint64_t> out(count);
+    if (count == 0) return out;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), p, static_cast<std::size_t>(count) * 8);
       p += static_cast<std::size_t>(count) * 8;

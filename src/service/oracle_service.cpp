@@ -24,6 +24,14 @@ bool model_covers(FaultModel model, bool has_edge_faults,
   return true;  // fault-free queries are within every FT guarantee
 }
 
+// Lock-striping width of the scenario cache and the lazy-build map. Eviction
+// is per-shard CLOCK over a ceil(capacity/8) slice.
+constexpr unsigned kShards = 8;
+
+// A cache line is stored as a diff against the baseline when at most this
+// fraction of the vertices moved; larger diffs keep the full vector.
+constexpr double kDeltaLineMaxFraction = 0.25;
+
 // Lazy-build key: one structure per (source, budget, model) shape.
 std::uint64_t pack_pool_key(Vertex source, unsigned budget, FaultModel model) {
   return (static_cast<std::uint64_t>(source) << 32) |
@@ -48,18 +56,9 @@ OracleService::Entry::Entry(const Graph& g)
 OracleService::OracleService(const Graph& g, ServiceConfig config)
     : g_(&g),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
-      lazy_builds_(config.cache_shards) {
-  Entry identity(*g_);  // entry 0: ground truth, always available
-  configure_engine(identity);
-  entries_.push_back(std::move(identity));
-}
-
-// The one place an entry's engine picks up the service-level query-path
-// config; every Entry must pass through here before it is published.
-void OracleService::configure_engine(Entry& entry) const {
-  entry.engine.set_delta_options(FaultQueryEngine::DeltaOptions{
-      config_.delta_queries, config_.delta_max_affected_fraction});
+      cache_(config.cache_capacity, kShards),
+      lazy_builds_(kShards) {
+  entries_.emplace_back(*g_);  // entry 0: ground truth, always available
 }
 
 std::size_t OracleService::publish_entry(Entry entry) {
@@ -84,7 +83,6 @@ std::size_t OracleService::add_structure(std::string name, Vertex source,
   entry.budget = fault_budget;
   entry.model = model;
   entry.exact = exact;
-  configure_engine(entry);
   {
     const std::unique_lock lock(pool_mutex_);
     FTBFS_EXPECTS(find_entry_locked(entry.name) < 0);
@@ -362,14 +360,11 @@ void OracleService::fill_payload(ServePlan& plan, const QueryRequest& req,
 // per-source baseline when the diff is small enough (the warm line then
 // holds O(affected) bytes instead of O(n)), the full vector otherwise — or
 // when the engine has no baseline to diff against. The choice depends only
-// on (baseline, distances, threshold), so threaded serving replays it
-// deterministically.
+// on (baseline, distances), so threaded serving replays it deterministically.
 void OracleService::fill_scenario_line(Entry& e, Vertex source,
                                        const std::vector<std::uint32_t>& full,
                                        ShardedScenarioCache::Line& line) {
-  const std::vector<std::uint32_t>* base =
-      config_.cache_delta_max_fraction > 0.0 ? e.engine.baseline_hops(source)
-                                             : nullptr;
+  const std::vector<std::uint32_t>* base = e.engine.baseline_hops(source);
   if (base != nullptr) {
     if (&full == base) {
       // Fast-path miss: the engine answered straight from the baseline
@@ -378,7 +373,7 @@ void OracleService::fill_scenario_line(Entry& e, Vertex source,
       return;
     }
     const std::size_t limit = static_cast<std::size_t>(
-        config_.cache_delta_max_fraction * static_cast<double>(full.size()));
+        kDeltaLineMaxFraction * static_cast<double>(full.size()));
     std::vector<std::uint64_t> diff;
     for (Vertex v = 0; v < full.size() && diff.size() <= limit; ++v) {
       if (full[v] != (*base)[v]) {
@@ -395,23 +390,6 @@ void OracleService::fill_scenario_line(Entry& e, Vertex source,
 
 QueryResponse OracleService::serve(const QueryRequest& req) {
   return execute(admit(req));
-}
-
-QueryResponse OracleService::serve(const QueryRequest& req,
-                                   RequestSequencer& sequencer,
-                                   std::uint64_t ticket) {
-  sequencer.wait_for(ticket);
-  Admission admission;
-  {
-    // Burn exactly one ticket even if admission throws (a stuck ticket would
-    // deadlock every later one).
-    struct AdvanceGuard {
-      RequestSequencer* s;
-      ~AdvanceGuard() { s->advance(); }
-    } guard{&sequencer};
-    admission = admit(req);
-  }
-  return execute(std::move(admission));
 }
 
 OracleService::Admission OracleService::admit(const QueryRequest& req) {
@@ -589,7 +567,6 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
           entry.budget = budget;
           entry.model = model;
           entry.exact = traits == nullptr || traits->exact;
-          configure_engine(entry);
           built = static_cast<int>(publish_entry(std::move(entry)));
           counters_.structures_built.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& ex) {

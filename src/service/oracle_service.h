@@ -14,9 +14,17 @@
 //     requests that no structure covers and available under the reserved pin
 //     name "identity";
 //   * a scenario cache: canonicalized fault sets (sorted, deduped, projected
-//     onto the entry's structure) interned together with their full distance
+//     onto the entry's structure) interned together with their distance
 //     vectors, so scenario sweeps and the failure simulator's repeated
-//     tick-states are served by a table lookup instead of a BFS.
+//     tick-states are served by a table lookup instead of a BFS. A line is
+//     stored as a sorted (vertex, hop) diff against the entry engine's
+//     per-source baseline when at most a quarter of the vertices moved, and
+//     as the full vector otherwise (docs/perf.md "Delta cache").
+//
+// Every pool engine runs with FaultQueryEngine's default DeltaOptions: the
+// baseline-tree fast path and the bounded repair BFS, falling back to a full
+// masked BFS past half the vertices. The engine-level DeltaOptions{.enabled =
+// false} full-BFS path is the reference the tests check the service against.
 //
 // Routing: a request is validated (unknown ids become kUnknownSource, never
 // an abort), its fault set canonicalized (duplicates count once), and then
@@ -33,10 +41,11 @@
 // relaxed atomics. Each serve() call splits into a short *admission* section
 // (validation, routing, lazy-build trigger, cache probe — everything that
 // reads or advances shared serving state) and a long *execution* section
-// (the BFS / cache wait / payload copy, which runs on private state). The
-// sequenced overload runs admissions in strict ticket order, which makes a
-// threaded serving loop's responses byte-identical to the sequential ones —
-// `ftbfs serve --threads N` builds on it (see docs/serving.md).
+// (the BFS / cache wait / payload copy, which runs on private state).
+// Running the admissions in strict request order — NetServer's ordered mode
+// does it per connection through a RequestSequencer — makes a threaded
+// serving loop's responses byte-identical to the sequential ones (see
+// docs/serving.md).
 #pragma once
 
 #include <atomic>
@@ -53,7 +62,6 @@
 #include "graph/graph.h"
 #include "service/protocol.h"
 #include "service/shard.h"
-#include "service/work_queue.h"
 
 namespace ftbfs {
 
@@ -77,29 +85,6 @@ struct ServiceConfig {
   // responses and goldens never depend on it; only the first-request build
   // stall shrinks.
   unsigned build_jobs = 0;
-  // Lock-striping width of the scenario cache and lazy-build map. More shards
-  // spread racing requests over more locks; 1 degenerates to a single lock.
-  // Eviction is per-shard CLOCK over a ceil(capacity/shards) slice, so which
-  // lines stay resident — and therefore hit/miss totals near capacity —
-  // depends (approximately) on the shard count; far from capacity the
-  // accounting is shard-count-independent.
-  unsigned cache_shards = 8;
-  // Fault-delta query path of the pool engines (docs/perf.md): answer from
-  // the per-source baseline tree when the fault set misses it, repair only
-  // the damaged subtrees otherwise. Off = every cache miss pays a full
-  // masked BFS (the pre-delta behavior; kept as the property-test oracle).
-  bool delta_queries = true;
-  // Fallback threshold forwarded to FaultQueryEngine::DeltaOptions.
-  double delta_max_affected_fraction = 0.5;
-  // Delta-compressed scenario cache (docs/perf.md "Delta cache"): store a
-  // cache line as a baseline reference plus a sorted (vertex, hop) diff when
-  // the diff covers at most this fraction of the vertices, shrinking a warm
-  // line from O(n) to O(affected) resident bytes. Larger diffs — and entries
-  // whose engine has no baseline (delta_queries off, baseline cap reached) —
-  // keep the full vector: the escape hatch. <= 0 stores every line full;
-  // >= 1 compresses every diff. Responses are byte-identical across every
-  // setting; only resident bytes change.
-  double cache_delta_max_fraction = 0.25;
 };
 
 // A point-in-time snapshot of the serving counters (the live counters are
@@ -171,18 +156,9 @@ class OracleService {
   // attribution can depend on the interleaving of racing calls: which
   // duplicate is labeled the cache miss, and — when requests whose lazy
   // builds target *different* budgets race for one source — which of the
-  // resulting entries serves (`served_by`). The sequenced overload below
+  // resulting entries serves (`served_by`). Ordering the admit() calls below
   // removes even that.
   [[nodiscard]] QueryResponse serve(const QueryRequest& req);
-
-  // Same, with the admission section ordered by `ticket` through `sequencer`
-  // (tickets must be dense from 0 across all participants). Concurrent
-  // callers that agree on a ticket order get responses byte-identical to
-  // serving the requests sequentially in that order — including cache_hit
-  // flags and cache evictions.
-  [[nodiscard]] QueryResponse serve(const QueryRequest& req,
-                                    RequestSequencer& sequencer,
-                                    std::uint64_t ticket);
 
   // --- split serve: admit / execute ----------------------------------------
   // serve() == execute(admit(req)). admit() runs the admission section —
@@ -302,11 +278,6 @@ class OracleService {
  private:
   [[nodiscard]] int find_entry_locked(std::string_view name) const;
   [[nodiscard]] Entry& entry_ref(std::size_t entry);
-
-  // Applies the service-level query-path config (delta on/off, fallback
-  // threshold) to an entry's engine; every entry passes through here before
-  // it is published.
-  void configure_engine(Entry& entry) const;
 
   // True if `e` answers exactly for (source, canonical faults).
   [[nodiscard]] bool serves_exactly(const Entry& e, Vertex source,

@@ -20,10 +20,10 @@
 
 namespace ftbfs {
 
-// Bounded multi-producer/multi-consumer FIFO. push() blocks while the queue
-// is full, pop_batch() blocks while it is empty; close() wakes everyone,
-// after which push() is refused and pop_batch() drains the remaining items
-// before returning 0.
+// Bounded multi-producer/multi-consumer FIFO. try_push() never blocks: it
+// refuses when the queue is full or closed. pop_batch() blocks while the
+// queue is empty; close() wakes every consumer, after which try_push() is
+// refused and pop_batch() drains the remaining items before returning 0.
 template <typename T>
 class BoundedQueue {
  public:
@@ -32,32 +32,17 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  // False iff the queue was closed before the item could be enqueued.
-  bool push(T item) {
-    std::unique_lock lock(mutex_);
-    if (!closed_ && items_.size() >= capacity_) {
-      ++not_full_waiters_;
-      not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
-      --not_full_waiters_;
-    }
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    // Targeted wakeup, and only when someone is actually parked: the
-    // uncontended steady state pays no notify syscall at all.
-    if (not_empty_waiters_ > 0) not_empty_.notify_one();
-    return true;
-  }
-
-  // Non-blocking push: false when the queue is full or closed, leaving `item`
-  // untouched so the caller can retry later. The socket front-end uses this —
-  // its event loop must never block on serving backpressure; it parks the
-  // connection instead and re-offers the line when a worker frees a slot.
+  // False when the queue is full or closed, leaving `item` untouched so the
+  // caller can retry later. NetServer's event loop must never block on
+  // serving backpressure; it parks the connection instead and re-offers the
+  // line when a worker frees a slot.
   bool try_push(T& item) {
     {
       const std::lock_guard lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      // Wake a consumer only when one is parked: the uncontended steady
+      // state pays no notify syscall at all.
       if (not_empty_waiters_ == 0) return true;
     }
     not_empty_.notify_one();
@@ -82,14 +67,6 @@ class BoundedQueue {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    if (not_full_waiters_ > 0) {
-      // A batch frees `take` slots; one producer per slot may proceed.
-      if (take > 1) {
-        not_full_.notify_all();
-      } else if (take == 1) {
-        not_full_.notify_one();
-      }
-    }
     return take;
   }
 
@@ -98,41 +75,30 @@ class BoundedQueue {
       const std::lock_guard lock(mutex_);
       closed_ = true;
     }
-    not_full_.notify_all();
     not_empty_.notify_all();
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
   std::size_t capacity_;
-  std::size_t not_full_waiters_ = 0;
   std::size_t not_empty_waiters_ = 0;
   bool closed_ = false;
 };
 
 // Ticket lock over a dense ticket sequence 0, 1, 2, …: wait_for(t) blocks
-// until every ticket below t has advanced. OracleService::serve uses it to
-// run its admission section (routing, lazy-build trigger, cache probe) in
-// strict request order, which is what makes threaded serving byte-identical
-// to sequential serving. Every ticket MUST eventually advance exactly once —
-// a skipped ticket (e.g. a request that never reaches the service because it
-// failed to parse) still has to call skip().
+// until every ticket below t has been released. NetServer's ordered mode
+// gives each connection one, and runs that connection's OracleService::admit
+// sections (routing, lazy-build trigger, cache probe) in strict request
+// order, which is what makes threaded serving byte-identical to sequential
+// serving. Every ticket MUST eventually be released exactly once, by
+// advance_n() after the run of admissions it belongs to.
 class RequestSequencer {
  public:
   void wait_for(std::uint64_t ticket) {
     std::unique_lock lock(mutex_);
     cv_.wait(lock, [&] { return turn_ == ticket; });
-  }
-
-  void advance() {
-    {
-      const std::lock_guard lock(mutex_);
-      ++turn_;
-    }
-    cv_.notify_all();
   }
 
   // Releases `n` consecutive tickets in one step: the batched-admission
@@ -145,12 +111,6 @@ class RequestSequencer {
       turn_ += n;
     }
     cv_.notify_all();
-  }
-
-  // Burns one ticket without an admission section.
-  void skip(std::uint64_t ticket) {
-    wait_for(ticket);
-    advance();
   }
 
  private:

@@ -36,33 +36,11 @@ struct SimConfig {
   // failures start while the cap is reached. 0 = no failures at all.
   std::size_t max_concurrent_faults = 2;
   // Scenario-cache capacity of the routing service (0 disables caching).
+  // The routing service keeps its production defaults otherwise: a tick's
+  // fault set is small and drifts edge by edge, so cache-missing tick-states
+  // are answered by the engines' baseline/repair tiers, and cached lines
+  // shrink to the affected-region diff.
   std::size_t cache_capacity = 512;
-  // Fault-delta query path of the routing service's engines. The simulator
-  // is the delta path's natural customer: a tick's fault set is small and
-  // drifts edge by edge, so cache-missing tick-states repair a few subtrees
-  // instead of re-running BFS over every overlay. Metrics are identical
-  // either way; off reproduces the pre-delta serving cost.
-  bool delta_queries = true;
-  // Delta-compressed scenario cache of the routing service: tick-states
-  // perturb few distances, so cached lines shrink to the affected-region
-  // diff (ServiceConfig::cache_delta_max_fraction; <= 0 keeps full vectors).
-  // Metrics are identical for every setting — only resident bytes change.
-  double cache_delta_max_fraction = 0.25;
-  // Workers routing one tick's requests (ground truth + each overlay)
-  // through the service concurrently. The fault process itself stays
-  // sequential, so metrics are identical for every thread count; >1 simply
-  // exercises the service's concurrent path and cuts per-tick latency when
-  // several overlays are registered.
-  unsigned route_threads = 1;
-  // Admission ordering of one tick's concurrent routing requests, mirroring
-  // `ftbfs serve --mode`: relaxed (false, the default) admits rows in
-  // whatever order the workers reach the service — distances and metrics are
-  // deterministic regardless, each row has its own cache key; ordered (true)
-  // runs the rows' admissions in row order through a ticket lock, so even
-  // the cache's internal hit/miss/eviction bookkeeping replays the serial
-  // stream exactly (useful when comparing service_stats() across thread
-  // counts). Irrelevant when route_threads == 1.
-  bool ordered_routing = false;
 };
 
 struct OverlayMetrics {

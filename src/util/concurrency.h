@@ -13,9 +13,8 @@ namespace ftbfs {
 
 // The shared worker-count clamp: max(1, min(requested, work, hardware)).
 // `cap_to_hardware = false` drops the hardware term for callers that
-// intentionally oversubscribe — deterministic row partitioning in the
-// simulator, and determinism tests that must exercise real interleavings
-// even on small machines.
+// intentionally oversubscribe — explicit --jobs requests, whose determinism
+// tests must exercise real interleavings even on small machines.
 [[nodiscard]] unsigned clamp_workers(unsigned requested, std::size_t work,
                                      bool cap_to_hardware = true);
 

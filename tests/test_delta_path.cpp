@@ -5,13 +5,13 @@
 // with the same hop counts (the specific parent among equal-hop candidates
 // is tie-break-dependent: BFS parentage depends on queue order, which a
 // bounded repair cannot reproduce; docs/perf.md "Parent repair"). These
-// tests pit a delta-enabled engine/service against a delta-disabled twin
-// over randomized graphs × fault sets × budgets — including the threshold-
+// tests pit a delta-enabled engine against a delta-disabled twin over
+// randomized graphs × fault sets × budgets — including the threshold-
 // fallback boundary at fractions 0 (always fall back) and 1 (never) — check
-// every repair-path parent tree and path for validity, compare serve
-// responses across delta on/off and across the delta-compressed scenario
-// cache's representation thresholds, and pin down the fast/repair/full
-// counter accounting the serving stats surface.
+// every repair-path parent tree and path for validity, check serve responses
+// against the delta-disabled engine's G∖F distances and against an uncached
+// service, pin which cache lines are stored as diffs, and pin down the
+// fast/repair/full counter accounting the serving stats surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "graph/generators.h"
 #include "service/oracle_service.h"
 #include "service/protocol.h"
+#include "service_truth.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -417,112 +418,96 @@ std::vector<QueryRequest> service_workload(const Graph& g, int count,
   return out;
 }
 
-TEST(DeltaPath, ServeMatchesFullBfsServiceWithDeltaOnAndOff) {
+TEST(DeltaPath, ServeMatchesFullBfsTruth) {
+  // Every served payload of a default (delta-on) service equals the G∖F
+  // distances of a delta-off engine over G; path responses are valid
+  // fault-avoiding paths of that length (their tie-break is free).
   const Graph g = erdos_renyi(60, 0.1, 21);
-  ServiceConfig on;
-  ServiceConfig off;
-  off.delta_queries = false;
-  off.cache_delta_max_fraction = 0.0;
-  OracleService delta_service(g, on);
-  OracleService full_service(g, off);
+  OracleService service(g);
+  ServiceTruth truth(g);
   const std::vector<QueryRequest> requests = service_workload(g, 250, 31);
+  std::size_t served = 0;
   for (const QueryRequest& req : requests) {
-    const QueryResponse dr = delta_service.serve(req);
-    const QueryResponse fr = full_service.serve(req);
-    if (req.kind != QueryKind::kPath) {
-      // Non-path payloads are bit-identical — the wire bytes cannot drift.
-      EXPECT_EQ(format_response_line(dr), format_response_line(fr))
-          << "request " << req.id;
-      continue;
-    }
-    // Path responses: everything but the vertex lists must match (lengths
-    // included — resp.distances carries them); the delta paths themselves
-    // must be valid shortest paths, but may realize a different tie-break
-    // than the full BFS (see the file comment).
-    EXPECT_EQ(dr.status, fr.status) << "request " << req.id;
-    EXPECT_EQ(dr.exact, fr.exact);
-    EXPECT_EQ(dr.served_by, fr.served_by);
-    EXPECT_EQ(dr.cache_hit, fr.cache_hit);
-    EXPECT_EQ(dr.distances, fr.distances);
-    ASSERT_EQ(dr.paths.size(), fr.paths.size());
-    const CanonicalFaultSet canon =
-        FaultSpec{req.fault_edges, req.fault_vertices}.canonicalize();
-    for (std::size_t i = 0; i < dr.paths.size(); ++i) {
-      ASSERT_EQ(dr.paths[i].empty(), fr.paths[i].empty());
-      if (dr.paths[i].empty()) continue;
-      EXPECT_EQ(dr.paths[i].size(), fr.paths[i].size());
-      EXPECT_EQ(dr.paths[i].front(), req.source);
-      EXPECT_EQ(dr.paths[i].back(), req.targets[i]);
-      for (std::size_t j = 0; j + 1 < dr.paths[i].size(); ++j) {
-        const EdgeId ge = g.find_edge(dr.paths[i][j], dr.paths[i][j + 1]);
-        ASSERT_NE(ge, kInvalidEdge);
-        EXPECT_FALSE(edge_faulted(canon, ge));
-      }
-      for (const Vertex v : dr.paths[i]) {
-        EXPECT_FALSE(vertex_faulted(canon, v));
-      }
-    }
+    if (truth.expect_matches(req, service.serve(req))) ++served;
   }
-  // The delta service actually used its fast/repair tiers (not everything
-  // fell back), and the disabled twin never did.
-  const ServiceStats ds = delta_service.stats();
-  EXPECT_GT(ds.fast_path_hits + ds.repair_bfs, 0u);
-  const ServiceStats fs = full_service.stats();
-  EXPECT_EQ(fs.fast_path_hits, 0u);
-  EXPECT_EQ(fs.repair_bfs, 0u);
-  EXPECT_GT(fs.full_bfs, 0u);
+  EXPECT_GT(served, requests.size() / 2);
+  // The service actually used its fast/repair tiers (not everything fell
+  // back to a full BFS).
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.fast_path_hits + stats.repair_bfs, 0u);
 }
 
 // The delta-compressed scenario cache is a representation change only: the
-// response stream must be byte-identical with compression off (threshold 0,
-// every line a full vector), at the default, and with every diff compressed
-// (threshold ∞) — and the hit/miss/eviction counters must not move either.
-TEST(DeltaPath, ServeBytesIdenticalAcrossCacheDeltaThresholds) {
+// response stream must be exact and byte-identical to an uncached twin's
+// (cache_hit attribution aside), whichever form each line took.
+TEST(DeltaPath, ServeBytesIdenticalToUncachedService) {
   const Graph g = erdos_renyi(60, 0.1, 77);
-  ServiceConfig full_lines;
-  full_lines.cache_delta_max_fraction = 0.0;  // escape hatch always
-  ServiceConfig defaults;
-  ServiceConfig always_delta;
-  always_delta.cache_delta_max_fraction = 1e9;  // compress every diff
   ServiceConfig uncached;
   uncached.cache_capacity = 0;
-  OracleService s_full(g, full_lines);
-  OracleService s_default(g, defaults);
-  OracleService s_delta(g, always_delta);
+  OracleService s_default(g);
   OracleService s_uncached(g, uncached);
+  ServiceTruth truth(g);
   const std::vector<QueryRequest> requests = service_workload(g, 300, 93);
   for (const QueryRequest& req : requests) {
-    const QueryResponse full_resp = s_full.serve(req);
-    const std::string line = format_response_line(full_resp);
-    EXPECT_EQ(line, format_response_line(s_default.serve(req)))
-        << "request " << req.id;
-    EXPECT_EQ(line, format_response_line(s_delta.serve(req)))
-        << "request " << req.id;
-    // The uncached twin must agree on everything but the cache_hit
-    // attribution flag.
+    QueryResponse cached = s_default.serve(req);
     QueryResponse raw = s_uncached.serve(req);
-    raw.cache_hit = false;
-    QueryResponse norm = full_resp;
-    norm.cache_hit = false;
-    EXPECT_EQ(format_response_line(norm), format_response_line(raw))
+    truth.expect_matches(req, cached);
+    cached.cache_hit = false;
+    EXPECT_EQ(format_response_line(cached), format_response_line(raw))
         << "request " << req.id;
   }
-  // Identical admission decisions (hit/miss/eviction accounting does not
-  // depend on the line representation)…
-  const ServiceStats full_stats = s_full.stats();
-  const ServiceStats default_stats = s_default.stats();
-  const ServiceStats delta_stats = s_delta.stats();
-  for (const ServiceStats* s : {&default_stats, &delta_stats}) {
-    EXPECT_EQ(s->cache_hits, full_stats.cache_hits);
-    EXPECT_EQ(s->cache_misses, full_stats.cache_misses);
-    EXPECT_EQ(s->cache_evictions, full_stats.cache_evictions);
-    EXPECT_EQ(s->cache_lines, full_stats.cache_lines);
+  const ServiceStats stats = s_default.stats();
+  EXPECT_GT(stats.cache_hits, 0u);
+  ASSERT_GT(stats.cache_lines, 0u);
+  // Compressed lines hold a fraction of a full n-word vector.
+  EXPECT_LT(stats.cache_bytes_per_line(),
+            static_cast<double>(g.num_vertices() * sizeof(std::uint32_t)));
+}
+
+// A line is a diff against the entry's baseline while at most a quarter of
+// the vertices moved, and the full vector past that. On a 24-cycle from
+// source 0 the baseline splits at the antipode 12: cutting the edge next to
+// the source reroutes half the cycle (full line, exactly 4·n bytes), while a
+// cut two or three edges short of the antipode moves only the vertices
+// between the cut and the antipode (8 bytes per (vertex, hop) diff entry).
+TEST(DeltaPath, LineFormFollowsTheDiffSize) {
+  const Graph g = cycle_graph(24);
+  const Vertex n = g.num_vertices();
+  ServiceConfig config;
+  config.lazy_build = false;  // identity entry only: H = G, one baseline
+  OracleService service(g, config);
+  ServiceTruth truth(g);
+  QueryRequest req;
+  req.source = 0;
+  req.kind = QueryKind::kAllDistances;
+  req.consistency = Consistency::kBestEffort;
+  const std::vector<std::uint32_t> base = service.serve(req).distances;
+  std::uint64_t bytes = service.stats().cache_resident_bytes;
+  EXPECT_EQ(bytes, 0u);  // fault-free: an empty diff
+
+  const auto grow_for = [&](Vertex a, Vertex b, std::size_t& changed) {
+    req.fault_edges = {g.find_edge(a, b)};
+    const QueryResponse resp = service.serve(req);
+    truth.expect_matches(req, resp);
+    const std::vector<std::uint32_t>& d = resp.distances;
+    changed = 0;
+    for (Vertex v = 0; v < n; ++v) changed += d[v] != base[v] ? 1 : 0;
+    const std::uint64_t now = service.stats().cache_resident_bytes;
+    const std::uint64_t grew = now - bytes;
+    bytes = now;
+    return grew;
+  };
+  std::size_t changed = 0;
+  EXPECT_EQ(grow_for(0, 1, changed), 4u * n);  // full line
+  EXPECT_GT(changed, n / 4);
+  for (const Vertex cut : {Vertex{9}, Vertex{10}}) {  // 3 and 2 short of 12
+    const std::uint64_t grew = grow_for(cut, cut + 1, changed);
+    EXPECT_GT(changed, 0u);
+    EXPECT_LE(changed, n / 4);
+    EXPECT_EQ(grew, 8u * changed) << "cut " << cut;
+    EXPECT_LT(grew, 4u * n);
   }
-  // …while compressed lines hold a fraction of the resident bytes.
-  ASSERT_GT(full_stats.cache_lines, 0u);
-  EXPECT_GT(full_stats.cache_resident_bytes, 0u);
-  EXPECT_LT(delta_stats.cache_resident_bytes,
-            full_stats.cache_resident_bytes);
+  EXPECT_EQ(service.stats().cache_lines, 4u);
 }
 
 TEST(DeltaPath, ServiceStatsExposeQueryPathCounters) {

@@ -278,26 +278,26 @@ TEST(Service, CacheProjectsFaultsOntoStructure) {
 }
 
 TEST(Service, LruEvictsOldScenarios) {
+  // Capacity 2 over the default 8 shards caps every shard at one line, so 12
+  // distinct scenarios must evict (at most 8 stay resident) while the most
+  // recent one still hits. The exact CLOCK victim order is pinned at the
+  // cache layer (ShardedCache.ComputeOnceLatchAndEviction, one shard).
   const Graph g = cycle_graph(12);
   ServiceConfig config;
   config.cache_capacity = 2;
-  // Eviction is per-shard CLOCK; one shard makes the victim sequence exact
-  // (capacity 2 in one shard, third scenario evicts the oldest untouched).
-  config.cache_shards = 1;
   OracleService service(g, config);
   QueryRequest req;
   req.source = 0;
   req.kind = QueryKind::kAllDistances;
-  req.fault_edges = {0};
-  (void)service.serve(req);  // miss, cached
-  req.fault_edges = {1};
-  (void)service.serve(req);  // miss, cached
-  req.fault_edges = {2};
-  (void)service.serve(req);  // miss, evicts {0}
-  req.fault_edges = {0};
-  EXPECT_FALSE(service.serve(req).cache_hit);
-  req.fault_edges = {2};
-  EXPECT_TRUE(service.serve(req).cache_hit);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    req.fault_edges = {e};
+    EXPECT_FALSE(service.serve(req).cache_hit);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.cache_evictions, 0u);
+  EXPECT_LE(stats.cache_lines, 8u);
+  EXPECT_EQ(stats.cache_evictions + stats.cache_lines, g.num_edges());
+  EXPECT_TRUE(service.serve(req).cache_hit);  // the last scenario stayed
 }
 
 // --- routing ---------------------------------------------------------------

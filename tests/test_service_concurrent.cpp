@@ -1,13 +1,12 @@
 // Concurrency tests for the serving substrate: N threads hammering one
 // OracleService produce the same answers as a sequential replay, a pool key
-// is lazily built exactly once no matter how many requests race for it, the
-// sequenced serve mode is *byte-identical* (formatted wire lines included)
-// to sequential serving — one ticket at a time or K admissions per batch —
-// the relaxed mode emits a correlatable permutation of the same lines,
-// engine scratch leases never cross-talk, and the work queue preserves FIFO
-// order. These are
-// the tests the TSan CI job runs — every assertion doubles as a data-race
-// probe under -fsanitize=thread.
+// is lazily built exactly once no matter how many requests race for it,
+// batched ordered admission is *byte-identical* (formatted wire lines
+// included) to sequential serving at any batch size, the relaxed mode emits
+// a correlatable permutation of the same lines, engine scratch leases never
+// cross-talk, and the work queue preserves FIFO order. These are the tests
+// the TSan CI job runs — every assertion doubles as a data-race probe under
+// -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +22,7 @@
 #include "service/protocol.h"
 #include "service/shard.h"
 #include "service/work_queue.h"
-#include "sim/failure_sim.h"
+#include "service_truth.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -131,23 +130,20 @@ TEST(ConcurrentService, HammerMatchesSequentialBaseline) {
   EXPECT_EQ(stats.served + stats.refused, stats.requests);
 }
 
-TEST(ConcurrentService, DeltaRepairHammerMatchesFullBfsSequential) {
-  // The fault-delta tiers under concurrency: the sequential baseline runs
-  // with the delta path *disabled* (pre-delta full-BFS semantics), the
-  // hammered service with it enabled — so agreement simultaneously proves
-  // thread-safety of the shared per-source baselines (lazily built under
-  // racing queries) and delta==full equivalence. The workload is biased
-  // toward tree-edge faults so the repair BFS, not just the fast path, is
-  // on the hot path of every worker.
+TEST(ConcurrentService, DeltaRepairHammerMatchesFullBfsTruth) {
+  // The fault-delta tiers under concurrency: every served payload of the
+  // hammered (default, delta-on) service must equal the G∖F distances of a
+  // full-masked-BFS engine over G — which simultaneously proves thread-safety
+  // of the shared per-source baselines (lazily built under racing queries)
+  // and delta==full equivalence. The workload is biased toward tree-edge
+  // faults so the repair BFS, not just the fast path, is on the hot path of
+  // every worker.
   const Graph g = erdos_renyi(60, 0.12, 19);
   std::vector<QueryRequest> requests = mixed_workload(g, 400);
   Bfs bfs(g);
   const BfsResult tree = bfs.run(0);
   Rng rng(333);
   for (std::size_t i = 0; i < requests.size(); i += 2) {
-    // Stay within 2 distinct faults: 3+ would add budget-3 lazy builds whose
-    // served_by attribution is legitimately scheduler-dependent (see
-    // oracle_service.h), which is not what this test is probing.
     if (requests[i].fault_edges.size() >= 2) continue;
     const Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
     if (tree.parent_edge[v] != kInvalidEdge) {
@@ -155,34 +151,26 @@ TEST(ConcurrentService, DeltaRepairHammerMatchesFullBfsSequential) {
     }
   }
 
-  ServiceConfig full_config;
-  full_config.delta_queries = false;
-  OracleService baseline(g, full_config);
-  std::vector<PayloadKey> expected;
-  expected.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
-    expected.push_back(payload_of(baseline.serve(req)));
-  }
-
-  OracleService service(g);  // delta on (the default)
-  std::vector<PayloadKey> got(requests.size());
+  OracleService service(g);
+  std::vector<QueryResponse> got(requests.size());
   std::vector<std::thread> crew;
   for (unsigned w = 0; w < kThreads; ++w) {
     crew.emplace_back([&, w] {
       for (std::size_t i = w; i < requests.size(); i += kThreads) {
-        got[i] = payload_of(service.serve(requests[i]));
+        got[i] = service.serve(requests[i]);
       }
     });
   }
   for (std::thread& t : crew) t.join();
+  ServiceTruth truth(g);
+  std::size_t served = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "request " << i;
+    if (truth.expect_matches(requests[i], got[i])) ++served;
   }
+  EXPECT_GT(served, requests.size() / 2);
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.repair_bfs, 0u);       // the repair tier really ran
   EXPECT_GT(stats.fast_path_hits, 0u);   // and the baseline tier
-  const ServiceStats base_stats = baseline.stats();
-  EXPECT_EQ(base_stats.repair_bfs + base_stats.fast_path_hits, 0u);
 }
 
 TEST(ConcurrentService, BuildsEachPoolKeyExactlyOnce) {
@@ -215,109 +203,13 @@ TEST(ConcurrentService, BuildsEachPoolKeyExactlyOnce) {
   EXPECT_EQ(service.pool_size(), 3u);  // identity + one entry per key
 }
 
-TEST(ConcurrentService, SequencedServeIsByteIdenticalToSequential) {
-  const Graph g = erdos_renyi(60, 0.12, 7);
-  std::vector<QueryRequest> requests = mixed_workload(g, 300);
-
-  OracleService baseline(g);
-  std::vector<std::string> expected;
-  expected.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  // Workers grab tickets in order but serve concurrently; the sequencer
-  // orders only the admission sections. Formatted lines — cache_hit flags
-  // included — must match the sequential replay byte for byte.
-  OracleService service(g);
-  RequestSequencer order;
-  std::vector<std::string> got(requests.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> crew;
-  for (unsigned w = 0; w < kThreads; ++w) {
-    crew.emplace_back([&] {
-      while (true) {
-        const std::size_t ticket = next.fetch_add(1);
-        if (ticket >= requests.size()) return;
-        got[ticket] =
-            format_response_line(service.serve(requests[ticket], order, ticket));
-      }
-    });
-  }
-  for (std::thread& t : crew) t.join();
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "request " << i;
-  }
-  // Sequenced admission replays the sequential cache decisions exactly.
-  EXPECT_EQ(service.stats().cache_hits, baseline.stats().cache_hits);
-  EXPECT_EQ(service.stats().cache_misses, baseline.stats().cache_misses);
-}
-
-TEST(ConcurrentService, SequencedServeReplaysEvictionsExactly) {
-  // A cache too small for the scenario pool forces constant evictions; the
-  // sequenced mode must still reproduce the sequential hit/miss stream.
-  const Graph g = cycle_graph(24);
-  ServiceConfig config;
-  config.cache_capacity = 3;
-  OracleService baseline(g, config);
-  OracleService service(g, config);
-
-  std::vector<QueryRequest> requests;
-  Rng rng(17);
-  for (int i = 0; i < 200; ++i) {
-    QueryRequest req;
-    req.source = 0;
-    req.kind = QueryKind::kAllDistances;
-    req.fault_edges = {static_cast<EdgeId>(rng.next_below(8))};
-    requests.push_back(std::move(req));
-  }
-  std::vector<std::string> expected;
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  RequestSequencer order;
-  std::vector<std::string> got(requests.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> crew;
-  for (unsigned w = 0; w < 4; ++w) {
-    crew.emplace_back([&] {
-      while (true) {
-        const std::size_t ticket = next.fetch_add(1);
-        if (ticket >= requests.size()) return;
-        got[ticket] =
-            format_response_line(service.serve(requests[ticket], order, ticket));
-      }
-    });
-  }
-  for (std::thread& t : crew) t.join();
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(service.stats().cache_evictions, baseline.stats().cache_evictions);
-}
-
-TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
-  // NetServer's ordered batched admission: workers pull dense runs of K
-  // consecutive tickets, admit the whole run under one sequencer turn
-  // (wait_for(first) … advance_n(K)), and execute out of order. The formatted
-  // lines — cache_hit flags and eviction effects included — must match the
-  // sequential replay byte for byte, exactly like the one-ticket-at-a-time
-  // sequenced mode. Capacity 3 over the 8-scenario pool keeps the CLOCK
-  // sweeping, so the test also pins the eviction stream.
-  const Graph g = erdos_renyi(60, 0.12, 7);
-  const std::vector<QueryRequest> requests = mixed_workload(g, 300);
-  ServiceConfig config;
-  config.cache_capacity = 3;
-
-  OracleService baseline(g, config);
-  std::vector<std::string> expected;
-  expected.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  constexpr std::size_t kBatch = 5;
-  OracleService service(g, config);
+// NetServer's ordered batched admission: workers pull dense runs of `batch`
+// consecutive tickets, admit the whole run under one sequencer turn
+// (wait_for(first) … advance_n(count)), and execute out of order. Returns the
+// formatted lines by ticket.
+std::vector<std::string> serve_batched(OracleService& service,
+                                       const std::vector<QueryRequest>& requests,
+                                       std::size_t batch) {
   RequestSequencer order;
   std::vector<std::string> got(requests.size());
   std::atomic<std::size_t> next{0};
@@ -326,9 +218,9 @@ TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
     crew.emplace_back([&] {
       std::vector<OracleService::Admission> admitted;
       for (;;) {
-        const std::size_t first = next.fetch_add(kBatch);
+        const std::size_t first = next.fetch_add(batch);
         if (first >= requests.size()) return;
-        const std::size_t count = std::min(kBatch, requests.size() - first);
+        const std::size_t count = std::min(batch, requests.size() - first);
         admitted.clear();
         order.wait_for(first);
         for (std::size_t i = 0; i < count; ++i) {
@@ -343,13 +235,74 @@ TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
     });
   }
   for (std::thread& t : crew) t.join();
+  return got;
+}
 
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "request " << i;
+TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
+  // The formatted lines — cache_hit flags and eviction effects included —
+  // must match the sequential replay byte for byte at batch size 1 (one
+  // ticket per turn) and 5. Three inputs: the mixed workload at the default
+  // capacity and at capacity 3 (the CLOCK keeps sweeping over the
+  // 8-scenario pool), and a cycle graph whose 24 single-fault scenarios
+  // churn a 3-line cache constantly (3 lines over 8 shards caps each shard at
+  // one line, so at most 8 of the 24 stay resident).
+  struct Workload {
+    const char* name;
+    Graph g;
+    std::vector<QueryRequest> requests;
+    std::size_t capacity;
+  };
+  std::vector<Workload> workloads;
+  {
+    Graph g = erdos_renyi(60, 0.12, 7);
+    std::vector<QueryRequest> requests = mixed_workload(g, 300);
+    workloads.push_back({"mixed", g, requests, ServiceConfig{}.cache_capacity});
+    workloads.push_back({"mixed-evicting", std::move(g), std::move(requests),
+                         3});
   }
-  EXPECT_EQ(service.stats().cache_hits, baseline.stats().cache_hits);
-  EXPECT_EQ(service.stats().cache_misses, baseline.stats().cache_misses);
-  EXPECT_EQ(service.stats().cache_evictions, baseline.stats().cache_evictions);
+  {
+    Graph g = cycle_graph(24);
+    std::vector<QueryRequest> requests;
+    Rng rng(17);
+    for (int i = 0; i < 200; ++i) {
+      QueryRequest req;
+      req.source = 0;
+      req.kind = QueryKind::kAllDistances;
+      req.fault_edges = {static_cast<EdgeId>(rng.next_below(g.num_edges()))};
+      requests.push_back(std::move(req));
+    }
+    workloads.push_back({"cycle-evicting", std::move(g), std::move(requests),
+                         3});
+  }
+
+  for (const Workload& w : workloads) {
+    ServiceConfig config;
+    config.cache_capacity = w.capacity;
+    OracleService baseline(w.g, config);
+    std::vector<std::string> expected;
+    expected.reserve(w.requests.size());
+    for (const QueryRequest& req : w.requests) {
+      expected.push_back(format_response_line(baseline.serve(req)));
+    }
+    const ServiceStats want = baseline.stats();
+    if (w.capacity == 3) {
+      EXPECT_GT(want.cache_evictions, 0u) << w.name;
+    }
+
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+      OracleService service(w.g, config);
+      const std::vector<std::string> got =
+          serve_batched(service, w.requests, batch);
+      for (std::size_t i = 0; i < w.requests.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i])
+            << w.name << " batch " << batch << " request " << i;
+      }
+      const ServiceStats stats = service.stats();
+      EXPECT_EQ(stats.cache_hits, want.cache_hits) << w.name << " " << batch;
+      EXPECT_EQ(stats.cache_misses, want.cache_misses) << w.name;
+      EXPECT_EQ(stats.cache_evictions, want.cache_evictions) << w.name;
+    }
+  }
 }
 
 TEST(ConcurrentService, RelaxedServeIsPermutationWithPerIdByteIdentity) {
@@ -524,52 +477,37 @@ TEST(ConcurrentEngine, LeasedQueriesMatchSerial) {
   EXPECT_EQ(engine.queries_answered(), got.size());
 }
 
-TEST(ConcurrentSim, ThreadedRoutingMatchesSerial) {
-  const Graph g = erdos_renyi(30, 0.2, 29);
-  std::vector<EdgeId> all(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
-
-  auto run_sim = [&](unsigned route_threads) {
-    SimConfig config;
-    config.ticks = 60;
-    config.failure_probability = 0.01;
-    config.route_threads = route_threads;
-    FailureSimulator sim(g, 0, config);
-    sim.add_overlay("full", all, 2);
-    return sim.run();
-  };
-  const auto serial = run_sim(1);
-  const auto threaded = run_sim(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].routed, threaded[i].routed);
-    EXPECT_EQ(serial[i].exact, threaded[i].exact);
-    EXPECT_EQ(serial[i].stretched, threaded[i].stretched);
-    EXPECT_EQ(serial[i].disconnected, threaded[i].disconnected);
-    EXPECT_EQ(serial[i].non_exact_in_budget, threaded[i].non_exact_in_budget);
-  }
-}
-
 // --- plumbing --------------------------------------------------------------
 
 TEST(WorkQueue, FifoOrderAndCloseSemantics) {
   BoundedQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.push(i));
+  for (int i = 0; i < 4; ++i) {
+    int item = i;
+    EXPECT_TRUE(queue.try_push(item));
+  }
+  int extra = 9;
+  EXPECT_FALSE(queue.try_push(extra));  // full: refused, item untouched
+  EXPECT_EQ(extra, 9);
   std::vector<int> batch;
   ASSERT_EQ(queue.pop_batch(batch, 3), 3u);
   // FIFO: a batch is a dense run of the oldest items — NetServer's ordered
   // admission depends on it.
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  queue.push(7);
+  int seven = 7;
+  EXPECT_TRUE(queue.try_push(seven));
   queue.close();
-  EXPECT_FALSE(queue.push(8));  // refused after close
+  int eight = 8;
+  EXPECT_FALSE(queue.try_push(eight));  // refused after close
   ASSERT_EQ(queue.pop_batch(batch, 8), 2u);  // drains before reporting 0
   EXPECT_EQ(batch, (std::vector<int>{3, 7}));
   EXPECT_EQ(queue.pop_batch(batch, 8), 0u);
   EXPECT_TRUE(batch.empty());
 }
 
-TEST(WorkQueue, BlockingProducersAndConsumers) {
+TEST(WorkQueue, RetryingProducersAndBlockingConsumers) {
+  // A capacity-2 queue under two producers keeps refusing try_push; each
+  // producer retries (yielding) until its item fits, as NetServer's event
+  // loop re-offers a parked line. Every item must arrive exactly once.
   BoundedQueue<int> queue(2);
   std::atomic<int> sum{0};
   std::vector<std::thread> consumers;
@@ -584,7 +522,10 @@ TEST(WorkQueue, BlockingProducersAndConsumers) {
   std::vector<std::thread> producers;
   for (int p = 0; p < 2; ++p) {
     producers.emplace_back([&, p] {
-      for (int i = 0; i < 50; ++i) queue.push(p * 50 + i);
+      for (int i = 0; i < 50; ++i) {
+        int item = p * 50 + i;
+        while (!queue.try_push(item)) std::this_thread::yield();
+      }
     });
   }
   for (std::thread& t : producers) t.join();
