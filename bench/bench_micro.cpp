@@ -7,12 +7,12 @@
 #include <algorithm>
 
 #include "core/cons2ftbfs.h"
-#include "core/oracle.h"
 #include "core/sensitivity_oracle.h"
 #include "core/single_ftbfs.h"
 #include "core/swap_ftbfs.h"
 #include "core/verify.h"
 #include "engine/query_engine.h"
+#include "engine/registry.h"
 #include "graph/generators.h"
 #include "graph/mask.h"
 #include "service/shard.h"
@@ -139,16 +139,27 @@ void BM_SwapFtbfs(benchmark::State& state) {
 }
 BENCHMARK(BM_SwapFtbfs)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-void BM_FtBfsOracleBatch(benchmark::State& state) {
+// One dual-fault scenario over every vertex, batched on the engine of the
+// registry's default f=2 structure.
+void BM_StructureBatch(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = random_connected(n, 3 * n, 1);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
+  BuildRequest req;
+  req.graph = &g;
+  req.sources = {0};
+  req.fault_budget = 2;
+  const BuildResult h = BuilderRegistry::instance().build(
+      BuilderRegistry::default_builder(2), req);
+  FaultQueryEngine engine(g, h.structure);
   const std::vector<EdgeId> faults = {1, 7};
+  const std::vector<FaultSpec> fault_sets = {edge_faults(faults)};
+  std::vector<Vertex> targets(n);
+  for (Vertex v = 0; v < n; ++v) targets[v] = v;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.all_distances(faults).data());
+    benchmark::DoNotOptimize(engine.batch(0, fault_sets, targets).data());
   }
 }
-BENCHMARK(BM_FtBfsOracleBatch)->Arg(1024);
+BENCHMARK(BM_StructureBatch)->Arg(1024);
 
 // --- delta-vs-full query sweep ----------------------------------------------
 //

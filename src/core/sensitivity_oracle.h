@@ -10,12 +10,11 @@
 // distance, plus an Euler-tour ancestor test to detect that case. Space is
 // O(Σ_v depth(v)) = O(n·D) words.
 //
-// This complements FtBfsOracle (which serves batched queries from the sparse
-// structure): here preprocessing is heavier but per-(v,e) point queries are
-// O(1), the classic time/space trade-off of the sensitivity-oracle line.
-// OracleService (service/oracle_service.h) mounts this oracle as its fast
-// path — `enable_point_oracle(s)` routes single-edge-fault distance and
-// reachability requests from s here, ahead of every structure in the pool.
+// This is the other side of the trade-off from the FT-BFS structures the
+// serving pool (service/oracle_service.h) answers from: a structure is built
+// once and each fault set costs a search of H ∖ F, while here preprocessing
+// is heavier and confined to one failed edge, but a per-(v,e) point query is
+// O(1). examples/sensitivity_queries.cpp checks both against ground truth.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 #include <utility>
-
-#include "util/concurrency.h"
 
 namespace ftbfs {
 
@@ -485,46 +482,26 @@ const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
 
 std::vector<std::uint32_t> FaultQueryEngine::batch(
     Vertex source, std::span<const FaultSpec> fault_sets,
-    std::span<const Vertex> targets, unsigned threads) {
+    std::span<const Vertex> targets) {
   const std::size_t rows = fault_sets.size();
   const std::size_t cols = targets.size();
   std::vector<std::uint32_t> out(rows * cols, kInfHops);
   if (rows == 0 || cols == 0) return out;
 
-  // Clamp to the row count and the machine: extra workers would only allocate
-  // idle (mask, BFS) scratch slots they never use.
-  const unsigned workers = clamp_workers(threads, rows);
-
-  auto run_rows = [&](std::size_t begin, std::size_t end) {
-    // Leased scratch, not a fixed slot: batch may run concurrently with
-    // leased single queries on the same engine (the service's workers).
-    ScratchLease lease = acquire_scratch();
-    Scratch& s = *lease.scratch_;
-    for (std::size_t i = begin; i < end; ++i) {
-      // One delta-classified query per row: fault sets that miss the baseline
-      // tree (or whose damage misses every target) read straight from the
-      // baseline; damaged rows run the bounded repair; the early-exit full
-      // BFS remains the fallback.
-      const std::vector<std::uint32_t>& hops =
-          hops_in(s, source, fault_sets[i], targets);
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[i * cols + j] = hops[targets[j]];
-      }
+  // Leased scratch, not a fixed slot: batch may run concurrently with leased
+  // single queries on the same engine (the service's workers).
+  ScratchLease lease = acquire_scratch();
+  Scratch& s = *lease.scratch_;
+  for (std::size_t i = 0; i < rows; ++i) {
+    // One delta-classified query per row: fault sets that miss the baseline
+    // tree (or whose damage misses every target) read straight from the
+    // baseline; damaged rows run the bounded repair; the early-exit full BFS
+    // remains the fallback.
+    const std::vector<std::uint32_t>& hops =
+        hops_in(s, source, fault_sets[i], targets);
+    for (std::size_t j = 0; j < cols; ++j) {
+      out[i * cols + j] = hops[targets[j]];
     }
-  };
-
-  if (workers == 1) {
-    run_rows(0, rows);
-  } else {
-    std::vector<std::thread> crew;
-    crew.reserve(workers);
-    const std::size_t chunk = (rows + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min<std::size_t>(w * chunk, rows);
-      const std::size_t end = std::min<std::size_t>(begin + chunk, rows);
-      crew.emplace_back(run_rows, begin, end);
-    }
-    for (std::thread& t : crew) t.join();
   }
   // hops_in counted each row in queries_ and in the path counters.
   return out;

@@ -1,6 +1,6 @@
 // FaultQueryEngine — the one batched query core every consumer routes through.
 //
-// The library's query-side consumers (the FtBfsOracle wrapper, the verifiers,
+// The library's query-side consumers (the serving pool, the verifiers,
 // the failure simulator, the CLI `query` subcommand, the query benches) all
 // used to carry the same three pieces of private plumbing: a g→H edge-id
 // translation table, epoch-mask scratch over H, and a masked BFS. This class
@@ -10,9 +10,9 @@
 // from H cannot affect distances inside H and are dropped), vertex faults
 // share ids between G and H.
 //
-// Batched queries (`batch`) run one early-exit masked BFS per fault set and
-// can fan fault sets across threads; each worker draws (mask, BFS) scratch
-// from a per-thread pool so no allocation or sharing happens on the hot path.
+// Batched queries (`batch`) run one delta-classified query per fault set on
+// a single leased (mask, BFS) scratch slot, so no allocation or sharing
+// happens on the hot path.
 // This is the serving substrate the ROADMAP's sensitivity-oracle/service line
 // builds on: a fault set is a "scenario", a batch is a scenario sweep.
 //
@@ -212,12 +212,11 @@ class FaultQueryEngine {
 
   // One distance matrix: result[i * targets.size() + j] is the distance
   // source→targets[j] in H ∖ fault_sets[i]. Each fault set costs one
-  // early-exit BFS (stops once all targets are settled). With threads > 1
-  // fault sets are fanned across that many workers, each with its own scratch
-  // from the pool; results are deterministic regardless of thread count.
+  // delta-classified query (the full fallback BFS stops once all targets are
+  // settled), run in order on one leased scratch slot.
   [[nodiscard]] std::vector<std::uint32_t> batch(
       Vertex source, std::span<const FaultSpec> fault_sets,
-      std::span<const Vertex> targets, unsigned threads = 1);
+      std::span<const Vertex> targets);
 
   // --- delta-path configuration & counters ----------------------------------
 

@@ -24,8 +24,8 @@ bool model_covers(FaultModel model, bool has_edge_faults,
   return true;  // fault-free queries are within every FT guarantee
 }
 
-// Lock-striping width of the scenario cache and the lazy-build map. Eviction
-// is per-shard CLOCK over a ceil(capacity/8) slice.
+// Lock-striping width of the scenario cache (capped at its capacity) and the
+// lazy-build map. Eviction is per-shard CLOCK over an exact capacity slice.
 constexpr unsigned kShards = 8;
 
 // A cache line is stored as a diff against the baseline when at most this
@@ -37,6 +37,21 @@ std::uint64_t pack_pool_key(Vertex source, unsigned budget, FaultModel model) {
   return (static_cast<std::uint64_t>(source) << 32) |
          (static_cast<std::uint64_t>(budget & 0x7fffffffu) << 1) |
          (model == FaultModel::kVertex ? 1u : 0u);
+}
+
+// The registry request for one pool shape, under the service's tie-breaking
+// seed and build-job setting (eager and lazy builds alike).
+BuildRequest pool_build_request(const Graph& g, const ServiceConfig& config,
+                                Vertex source, unsigned budget,
+                                FaultModel model) {
+  BuildRequest req;
+  req.graph = &g;
+  req.sources = {source};
+  req.fault_budget = budget;
+  req.fault_model = model;
+  req.weight_seed = config.weight_seed;
+  req.options.jobs = config.build_jobs;
+  return req;
 }
 
 }  // namespace
@@ -61,13 +76,33 @@ OracleService::OracleService(const Graph& g, ServiceConfig config)
   entries_.emplace_back(*g_);  // entry 0: ground truth, always available
 }
 
-std::size_t OracleService::publish_entry(Entry entry) {
+std::size_t OracleService::publish_entry(Entry entry, bool rename_on_clash) {
   const std::unique_lock lock(pool_mutex_);
-  // Racing eager adds can take any name first; a lazy build keeps its
-  // deterministic base name unless the name is genuinely occupied.
-  while (find_entry_locked(entry.name) >= 0) entry.name += "+";
+  if (rename_on_clash) {
+    // Racing eager adds can take any name first; a lazy build keeps its
+    // deterministic base name unless the name is genuinely occupied.
+    while (find_entry_locked(entry.name) >= 0) entry.name += "+";
+  } else {
+    FTBFS_EXPECTS(find_entry_locked(entry.name) < 0);
+  }
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
+}
+
+OracleService::Entry OracleService::build_entry(std::string name,
+                                                std::string_view algo,
+                                                const BuildRequest& req) const {
+  const BuilderRegistry& reg = BuilderRegistry::instance();
+  const BuildResult built = reg.build(algo, req);
+  const BuilderTraits* traits = reg.find(built.algorithm);
+  Entry entry(*g_, built.structure.edges);
+  entry.name = std::move(name);
+  entry.algorithm = built.algorithm;
+  entry.source = req.sources.front();
+  entry.budget = req.fault_budget;
+  entry.model = req.fault_model;
+  entry.exact = traits == nullptr || traits->exact;
+  return entry;
 }
 
 std::size_t OracleService::add_structure(std::string name, Vertex source,
@@ -83,45 +118,24 @@ std::size_t OracleService::add_structure(std::string name, Vertex source,
   entry.budget = fault_budget;
   entry.model = model;
   entry.exact = exact;
-  {
-    const std::unique_lock lock(pool_mutex_);
-    FTBFS_EXPECTS(find_entry_locked(entry.name) < 0);
-    entries_.push_back(std::move(entry));
-    return entries_.size() - 1;
-  }
+  return publish_entry(std::move(entry), /*rename_on_clash=*/false);
 }
 
 std::size_t OracleService::build_structure(std::string name, Vertex source,
                                            unsigned fault_budget,
                                            FaultModel model,
                                            std::string_view algo) {
-  const BuilderRegistry& reg = BuilderRegistry::instance();
+  FTBFS_EXPECTS(!name.empty());
+  FTBFS_EXPECTS(source < g_->num_vertices());
   const std::string chosen =
       algo.empty() ? BuilderRegistry::default_builder(fault_budget, model, 1)
                    : std::string(algo);
-  BuildRequest req;
-  req.graph = g_;
-  req.sources = {source};
-  req.fault_budget = fault_budget;
-  req.fault_model = model;
-  req.weight_seed = config_.weight_seed;
-  req.options.jobs = config_.build_jobs;
-  FTBFS_EXPECTS(reg.unsupported_reason(chosen, req).empty());
-  const BuildResult built = reg.build(chosen, req);
-  const BuilderTraits* traits = reg.find(built.algorithm);
-  const std::size_t idx =
-      add_structure(std::move(name), source, fault_budget, model,
-                    built.structure.edges, traits == nullptr || traits->exact);
-  {
-    const std::unique_lock lock(pool_mutex_);
-    entries_[idx].algorithm = built.algorithm;
-  }
-  return idx;
-}
-
-void OracleService::enable_point_oracle(Vertex source) {
-  FTBFS_EXPECTS(source < g_->num_vertices());
-  point_oracles_.try_emplace(source, *g_, source, config_.weight_seed);
+  const BuildRequest req =
+      pool_build_request(*g_, config_, source, fault_budget, model);
+  FTBFS_EXPECTS(
+      BuilderRegistry::instance().unsupported_reason(chosen, req).empty());
+  return publish_entry(build_entry(std::move(name), chosen, req),
+                       /*rename_on_clash=*/false);
 }
 
 ServiceStats OracleService::stats() const {
@@ -138,8 +152,6 @@ ServiceStats OracleService::stats() const {
       counters_.structures_built.load(std::memory_order_relaxed);
   out.identity_served =
       counters_.identity_served.load(std::memory_order_relaxed);
-  out.point_oracle_served =
-      counters_.point_oracle_served.load(std::memory_order_relaxed);
   {
     // Aggregate the engines' query-path counters; entries are append-only so
     // the shared lock only fences the deque scan against a racing publish.
@@ -488,19 +500,6 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
     return complete(pinned, static_cast<std::size_t>(idx), exact);
   }
 
-  // --- point-oracle fast path: O(1) per target, no BFS at all --------------
-  if (!has_vertex_faults && canon.edges().size() <= 1 &&
-      (req.kind == QueryKind::kDistance ||
-       req.kind == QueryKind::kReachability)) {
-    const auto it = point_oracles_.find(req.source);
-    if (it != point_oracles_.end()) {
-      // Const preprocessed tables, no shared serving state: the reads happen
-      // in the (unordered) execution tail.
-      a.point = &it->second;
-      return a;
-    }
-  }
-
   // --- structure routing: cheapest entry that serves exactly ---------------
   int best = -1;
   bool saw_source = false;
@@ -530,13 +529,8 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
         config_.default_budget, static_cast<unsigned>(canon.size()));
     const std::string algo =
         BuilderRegistry::default_builder(budget, model, 1);
-    BuildRequest breq;
-    breq.graph = g_;
-    breq.sources = {req.source};
-    breq.fault_budget = budget;
-    breq.fault_model = model;
-    breq.weight_seed = config_.weight_seed;
-    breq.options.jobs = config_.build_jobs;
+    const BuildRequest breq =
+        pool_build_request(*g_, config_, req.source, budget, model);
     if (BuilderRegistry::instance().unsupported_reason(algo, breq).empty()) {
       // Exactly-once under racing requests: the first claimant builds (with
       // no lock held — racing requests for other keys keep flowing), racers
@@ -555,19 +549,11 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
               throw std::bad_alloc();
             }
           }
-          const BuildResult result =
-              BuilderRegistry::instance().build(algo, breq);
-          const BuilderTraits* traits =
-              BuilderRegistry::instance().find(result.algorithm);
-          Entry entry(*g_, result.structure.edges);
-          entry.name = algo + "@s" + std::to_string(req.source) + "f" +
-                       std::to_string(budget);
-          entry.algorithm = result.algorithm;
-          entry.source = req.source;
-          entry.budget = budget;
-          entry.model = model;
-          entry.exact = traits == nullptr || traits->exact;
-          built = static_cast<int>(publish_entry(std::move(entry)));
+          built = static_cast<int>(publish_entry(
+              build_entry(algo + "@s" + std::to_string(req.source) + "f" +
+                              std::to_string(budget),
+                          algo, breq),
+              /*rename_on_clash=*/true));
           counters_.structures_built.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& ex) {
           // Publish the failure so racers wake instead of hanging on the
@@ -634,33 +620,6 @@ QueryResponse OracleService::execute(Admission admission) {
   QueryResponse resp = std::move(admission.resp);
   if (admission.done) return resp;
   const QueryRequest& req = *admission.req;
-
-  if (admission.point != nullptr) {
-    const SingleFaultOracle& po = *admission.point;
-    const EdgeId down = admission.canon.edges().empty()
-                            ? kInvalidEdge
-                            : admission.canon.edges()[0];
-    std::size_t unreachable = 0;
-    for (const Vertex t : req.targets) {
-      const std::uint32_t d = down == kInvalidEdge
-                                  ? po.distance(t)
-                                  : po.distance_avoiding(t, down);
-      resp.distances.push_back(d);
-      if (req.kind == QueryKind::kReachability) {
-        resp.reachable.push_back(d != kInfHops);
-      }
-      if (d == kInfHops) ++unreachable;
-    }
-    if (req.kind == QueryKind::kDistance && !req.targets.empty() &&
-        unreachable == req.targets.size()) {
-      resp.status = StatusCode::kDisconnected;
-    }
-    resp.exact = true;
-    resp.served_by = "point_oracle";
-    counters_.point_oracle_served.fetch_add(1, std::memory_order_relaxed);
-    counters_.served.fetch_add(1, std::memory_order_relaxed);
-    return resp;
-  }
 
   resp.exact = admission.plan.exact;
   fill_payload(admission.plan, req, admission.canon, resp);

@@ -86,7 +86,7 @@ struct QueryResponse {
   std::vector<Path> paths;          // kPath only; empty path = unreachable
   std::vector<bool> reachable;      // kReachability only
   // --- serving stats -------------------------------------------------------
-  std::string served_by;  // pool entry name, "identity", or "point_oracle"
+  std::string served_by;  // pool entry name or "identity"
   bool cache_hit = false;
   // Non-fatal notes about the *request* — today: unknown request keys, which
   // are echoed back instead of silently ignored (and instead of rejecting the

@@ -19,7 +19,7 @@
 //     serving) replays the same hit/miss/eviction stream every time — the
 //     byte-identical ordered serve mode rests on that. What changed vs the
 //     retired global-LRU design: residency now depends on the shard count
-//     (each shard caps at ceil(capacity / shards) lines), so hit/miss totals
+//     (the capacity is split into per-shard slices), so hit/miss totals
 //     across different shard counts agree only approximately.
 //
 //   * Keys are packed binary (ScenarioKey): the id words plus a precomputed
@@ -175,19 +175,20 @@ class ShardedScenarioCache {
     bool owner = false; // this caller reserved the line and must fill() it
   };
 
-  // Capacity is sliced across the shards: each shard caps its own line count
-  // at ceil(capacity / shards) and evicts within that slice, so the resident
-  // total stays within one shard-rounding of `capacity` while eviction never
-  // leaves the shard whose insert went over. (256 lines over the default 8
-  // shards = exactly 32 per shard.)
+  // Capacity is split exactly across min(shard_count, capacity) shards:
+  // shard i caps its own line count at capacity / S, plus one line for the
+  // first capacity % S shards, and evicts within that slice. The resident
+  // total therefore never exceeds `capacity`, while eviction never leaves the
+  // shard whose insert went over. (256 lines over the default 8 shards =
+  // exactly 32 per shard; capacity 2 = two one-line shards.)
   ShardedScenarioCache(std::size_t capacity, unsigned shard_count)
       : capacity_(capacity),
-        shards_(capacity == 0 ? 1 : std::max(1u, shard_count)) {
-    shard_capacity_ =
-        capacity == 0
-            ? 0
-            : std::max<std::size_t>(1, (capacity + shards_.size() - 1) /
-                                           shards_.size());
+        shards_(std::clamp<std::size_t>(capacity, 1,
+                                        std::max(1u, shard_count))) {
+    const std::size_t count = shards_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      shards_[i].capacity = capacity / count + (i < capacity % count ? 1 : 0);
+    }
   }
 
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
@@ -245,7 +246,7 @@ class ShardedScenarioCache {
         out.hit = true;
         return out;
       }
-      if (shard.lines.size() >= shard_capacity_) {
+      if (shard.lines.size() >= shard.capacity) {
         // The shard's slice is full: sweep its clock hand for a victim (first
         // line whose reference bit is already clear, clearing bits as it
         // passes — each resident line gets one second chance per sweep),
@@ -389,7 +390,7 @@ class ShardedScenarioCache {
     Shard& shard = shard_for(key);
     const std::unique_lock lock(shard.mutex);
     if (shard.lines.find(key) != shard.lines.end()) return nullptr;
-    if (shard.lines.size() >= shard_capacity_) return nullptr;
+    if (shard.lines.size() >= shard.capacity) return nullptr;
     const auto [ins, inserted] =
         shard.lines.try_emplace(ScenarioKey(key), std::make_shared<Line>());
     shard.ring.push_back(&*ins);
@@ -442,6 +443,7 @@ class ShardedScenarioCache {
     // line out, and erase always recycles the slot in the same breath).
     std::vector<const std::pair<const ScenarioKey, LinePtr>*> ring;
     std::size_t hand = 0;  // next ring slot the eviction sweep examines
+    std::size_t capacity = 0;  // this shard's slice of the cache capacity
     PaddedCounter hits;
     PaddedCounter misses;
     PaddedCounter evictions;
@@ -483,7 +485,6 @@ class ShardedScenarioCache {
 
   std::size_t capacity_;
   std::vector<Shard> shards_;
-  std::size_t shard_capacity_;  // per-shard slice: max(1, ceil(cap/shards))
   std::atomic<std::size_t> size_{0};
 };
 

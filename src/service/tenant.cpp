@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -36,7 +37,6 @@ void accumulate(ServiceStats& into, const ServiceStats& s) {
   into.cache_resident_bytes += s.cache_resident_bytes;
   into.structures_built += s.structures_built;
   into.identity_served += s.identity_served;
-  into.point_oracle_served += s.point_oracle_served;
   into.fast_path_hits += s.fast_path_hits;
   into.repair_bfs += s.repair_bfs;
   into.full_bfs += s.full_bfs;
@@ -425,6 +425,14 @@ LineJob::LineJob(TenantRegistry& registry, const std::string& line,
       arrival_(arrival),
       seq_(seq),
       stamp_seq_(stamp_seq) {
+  try {
+    parse(line);
+  } catch (const std::exception& ex) {
+    local_ = failure_line(ex);
+  }
+}
+
+void LineJob::parse(const std::string& line) {
   // The resolver runs at most once per line, after the object scan; pinning
   // inside it makes route-and-pin atomic against a racing reload (the graph
   // pointer the fault resolution uses stays valid for the job's life).
@@ -466,6 +474,18 @@ std::string LineJob::refuse_line(StatusCode status, std::string why) {
   return format_response_line(resp);
 }
 
+std::string LineJob::failure_line(const std::exception& ex) {
+  // Dropping the admission poisons a cache line it reserved, so requests
+  // waiting on that line recompute for themselves instead of hanging.
+  admission_.reset();
+  QueryResponse resp;
+  resp.id = parsed_ != nullptr ? parsed_->request.id : -1;
+  resp.seq = stamp_seq_ ? seq_ : -1;
+  resp.status = StatusCode::kOverloaded;
+  resp.error = std::string("request failed (") + ex.what() + "); retry later";
+  return format_response_line(resp);
+}
+
 void LineJob::resolve_deadline() {
   std::int64_t ms = parsed_->request.deadline_ms;
   if (ms <= 0) ms = tenant_->deadline_default();
@@ -474,6 +494,14 @@ void LineJob::resolve_deadline() {
 
 void LineJob::admit() {
   if (local_.has_value()) return;  // answered at parse time
+  try {
+    admit_gated();
+  } catch (const std::exception& ex) {
+    local_ = failure_line(ex);
+  }
+}
+
+void LineJob::admit_gated() {
   // Gate order: deadline (an expired request must not consume tokens or
   // quota), then rate limit, then the lifetime quota, then the service.
   resolve_deadline();
@@ -508,11 +536,21 @@ void LineJob::admit() {
 
 std::string LineJob::finish() {
   if (local_.has_value()) return std::move(*local_);
+  try {
+    return execute();
+  } catch (const std::exception& ex) {
+    return failure_line(ex);
+  }
+}
+
+std::string LineJob::execute() {
   {
     // Chaos/latency hook: a sleep armed on `service.execute` models a slow
-    // backend without touching real serving code paths.
+    // backend; an err() models execution running out of memory (the same
+    // std::bad_alloc a real allocation failure throws), which finish()
+    // turns into a kOverloaded line.
     static fp::Failpoint& fp_exec = fp::site("service.execute");
-    (void)fp::fail_errno(fp_exec);
+    if (fp::fail_errno(fp_exec) != 0) throw std::bad_alloc();
   }
   if (deadline_.has_value() && !admission_->done &&
       std::chrono::steady_clock::now() > *deadline_) {

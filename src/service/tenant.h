@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -341,6 +342,10 @@ class TenantPin {
 // One request line moving through parse → admit → finish. See the file
 // comment for the phase contract. `stamp_seq` mirrors the relaxed serve
 // modes: the response carries `seq` so id-less lines stay correlatable.
+// No phase throws: a std::exception escaping parse, admission or execution
+// (in practice std::bad_alloc under memory pressure) becomes a kOverloaded
+// line carrying the request's id, so the worker keeps serving and the
+// connection's later tickets are still admitted and answered.
 class LineJob {
  public:
   // Parse phase. Runs anywhere; touches no shared serving state beyond the
@@ -366,6 +371,11 @@ class LineJob {
   [[nodiscard]] std::string finish();
 
  private:
+  void parse(const std::string& line);
+  void admit_gated();
+  [[nodiscard]] std::string execute();
+  // The kOverloaded line for a phase that threw `ex`.
+  [[nodiscard]] std::string failure_line(const std::exception& ex);
   // Deadline for this request (request field wins over the tenant default),
   // or nullopt when neither applies. Computed once, in admit().
   void resolve_deadline();

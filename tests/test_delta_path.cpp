@@ -186,11 +186,9 @@ void expect_engines_agree(const Graph& g, std::span<const EdgeId> h_edges,
                       fr.hops[t], dp);
   }
 
-  // batch: whole matrix in one call, sequential and threaded.
+  // batch: whole matrix in one call.
   EXPECT_EQ(delta.batch(source, specs, targets),
             full.batch(source, specs, targets));
-  EXPECT_EQ(delta.batch(source, specs, targets, 4),
-            full.batch(source, specs, targets, 4));
 }
 
 TEST(DeltaPath, MatchesFullBfsOnRandomGraphs) {

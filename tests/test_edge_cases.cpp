@@ -6,10 +6,11 @@
 #include "core/approx_ftmbfs.h"
 #include "core/cons2ftbfs.h"
 #include "core/kfail_ftbfs.h"
-#include "core/oracle.h"
 #include "core/single_ftbfs.h"
 #include "core/verify.h"
 #include "graph/generators.h"
+#include "graph/mask.h"
+#include "service/oracle_service.h"
 #include "spath/bfs.h"
 
 namespace ftbfs {
@@ -84,13 +85,24 @@ TEST(EdgeCases, RecordSinkWithoutClassifyIsInert) {
 }
 
 TEST(EdgeCases, OracleAcceptsDuplicateFaultIds) {
+  // {3, 3} is one distinct fault: an exact-or-refuse request pinned to a
+  // budget-2 structure is served exactly, not refused or double-counted.
   const Graph g = cycle_graph(8);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
-  const std::vector<EdgeId> dup = {3, 3};
+  ServiceConfig config;
+  config.lazy_build = false;
+  OracleService service(g, config);
+  service.build_structure("h", 0, 2, FaultModel::kEdge);
+  QueryRequest req;
+  req.targets = {5};
+  req.fault_edges = {3, 3};
+  req.structure = "h";
+  const QueryResponse resp = service.serve(req);
+  EXPECT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_TRUE(resp.exact);
   Bfs bfs(g);
   GraphMask mask(g);
   mask.block_edge(3);
-  EXPECT_EQ(oracle.distance(5, dup), bfs.run(0, &mask).hops[5]);
+  EXPECT_EQ(resp.distances.at(0), bfs.run(0, &mask).hops[5]);
 }
 
 TEST(EdgeCases, KfailZeroCapStillReturnsTree) {

@@ -1,12 +1,11 @@
 // Tests for the engine layer: the BuilderRegistry contract (every registered
 // builder × every generator family yields a structure that verifies at its
 // declared fault budget) and the FaultQueryEngine (batched == sequential,
-// translation, identity mode, vertex faults, threading).
+// translation, identity mode, vertex faults).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/oracle.h"
 #include "core/verify.h"
 #include "engine/query_engine.h"
 #include "engine/registry.h"
@@ -220,8 +219,7 @@ TEST(QueryEngine, ShortestPathAvoidsFaultsAndIsOptimal) {
 }
 
 // The batched-vs-sequential equivalence property: batch() must agree with
-// one-at-a-time distance() for every (fault set, target) cell, at any thread
-// count.
+// one-at-a-time distance() for every (fault set, target) cell.
 TEST(QueryEngine, BatchMatchesSequential) {
   const Graph g = erdos_renyi(50, 0.12, 31);
   BuildRequest req;
@@ -252,24 +250,30 @@ TEST(QueryEngine, BatchMatchesSequential) {
       expected.push_back(engine.distance(0, t, fs));
     }
   }
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    EXPECT_EQ(engine.batch(0, fault_sets, targets, threads), expected)
-        << threads << " threads";
-  }
+  EXPECT_EQ(engine.batch(0, fault_sets, targets), expected);
 }
 
-TEST(QueryEngine, OracleBatchMatchesOracleDistances) {
+// A batch over the registry's default f=2 structure answers every cell with
+// the G ∖ F distance (the FT-BFS guarantee, read through the batched API).
+TEST(QueryEngine, StructureBatchMatchesGraphDistances) {
   const Graph g = erdos_renyi(30, 0.2, 37);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
+  BuildRequest req;
+  req.graph = &g;
+  req.sources = {0};
+  req.fault_budget = 2;
+  const BuildResult h = BuilderRegistry::instance().build(
+      BuilderRegistry::default_builder(2), req);
   std::vector<std::vector<EdgeId>> storage = {{}, {1}, {2, 5}};
   std::vector<FaultSpec> fault_sets;
   for (const auto& fs : storage) fault_sets.push_back(edge_faults(fs));
   const std::vector<Vertex> targets = {3, 11, 27};
-  const std::vector<std::uint32_t> matrix = oracle.batch(fault_sets, targets);
+  const std::vector<std::uint32_t> matrix =
+      FaultQueryEngine(g, h.structure).batch(0, fault_sets, targets);
+  FaultQueryEngine truth(g);
   for (std::size_t i = 0; i < fault_sets.size(); ++i) {
     for (std::size_t j = 0; j < targets.size(); ++j) {
       EXPECT_EQ(matrix[i * targets.size() + j],
-                oracle.distance(targets[j], storage[i]));
+                truth.distance(0, targets[j], fault_sets[i]));
     }
   }
 }
@@ -279,9 +283,9 @@ TEST(QueryEngine, BatchHandlesDegenerateShapes) {
   FaultQueryEngine engine(g);
   EXPECT_TRUE(engine.batch(0, {}, {}).empty());
   const std::vector<FaultSpec> one_empty(1);
-  EXPECT_TRUE(engine.batch(0, one_empty, {}, 8).empty());
+  EXPECT_TRUE(engine.batch(0, one_empty, {}).empty());
   const std::vector<Vertex> targets = {3};
-  EXPECT_EQ(engine.batch(0, one_empty, targets, 16),
+  EXPECT_EQ(engine.batch(0, one_empty, targets),
             (std::vector<std::uint32_t>{3}));
 }
 

@@ -699,6 +699,64 @@ TEST(NetRobustness, DeadlineExceededIsTypedAndPerRequest) {
   EXPECT_EQ(rs.server.wire_counters().deadline_refusals.load(), 1u);
 }
 
+// The "distances" array of a response line, or empty if absent.
+std::vector<long long> distances_of(const std::string& line) {
+  JsonValue v;
+  std::string err;
+  std::vector<long long> out;
+  if (!JsonReader(line).parse(v, err)) return out;
+  const JsonValue* d = v.find("distances");
+  if (d == nullptr || d->kind != JsonValue::Kind::kArray) return out;
+  for (const JsonValue& x : d->array) {
+    out.push_back(static_cast<long long>(x.number));
+  }
+  return out;
+}
+
+TEST(NetRobustness, ExecutionFailureIsOverloadedAndTheConnectionKeepsServing) {
+  DisarmOnExit guard;
+  // err() on service.execute throws std::bad_alloc in place of the first
+  // execution. The worker must answer that request `overloaded` with its id
+  // instead of dying, and the connection's later tickets must keep flowing.
+  // All three requests share one scenario: the first reserves its cache
+  // line, so the two behind it wait on a line the failed request poisons
+  // and must recompute for themselves.
+  ASSERT_TRUE(fp::arm("service.execute=err(ENOMEM,count=1)"));
+
+  TenantRegistry registry;
+  registry.add("default", cycle_graph(16));
+  NetServerConfig config;
+  config.threads = 1;
+  RunningServer rs(registry, config);
+  const int fd = connect_loopback(rs.server.port());
+  const timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+
+  // Edge {0,1} down: every target is reached the long way round, 16 - t.
+  const auto request = [](int id) {
+    return "{\"id\":" + std::to_string(id) +
+           ",\"source\":0,\"targets\":[3,5,7],\"fault_edges\":[[0,1]]}\n";
+  };
+  const std::vector<long long> expected = {13, 11, 9};
+  send_all(fd, request(1) + request(2) + request(3));
+  const std::vector<std::string> got = recv_lines(fd, 3);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(field(got[0], "id"), "1") << got[0];
+  EXPECT_EQ(field(got[0], "status"), "overloaded") << got[0];
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(field(got[i], "id"), std::to_string(i + 1)) << got[i];
+    EXPECT_EQ(field(got[i], "status"), "ok") << got[i];
+    EXPECT_EQ(distances_of(got[i]), expected) << got[i];
+  }
+  send_all(fd, request(4));
+  const std::vector<std::string> later = recv_lines(fd, 1);
+  ASSERT_EQ(later.size(), 1u) << "request 4 stalled";
+  EXPECT_EQ(field(later[0], "id"), "4") << later[0];
+  EXPECT_EQ(field(later[0], "status"), "ok") << later[0];
+  EXPECT_EQ(distances_of(later[0]), expected) << later[0];
+  ::close(fd);
+}
+
 TEST(NetRobustness, RateLimitRefusesBeyondBurstWithTypedStatus) {
   TenantRegistry registry;
   TenantQuotas quotas;

@@ -1,13 +1,11 @@
 // Tests for the serving layer: every QueryResponse status code is reachable
 // and maps to the right situation (never an abort), cached answers are
 // byte-identical to uncached ones, canonicalization fixes duplicate-id budget
-// accounting, routing picks the cheapest capable backend, and the legacy
-// FtBfsOracle facade over the service answers exactly what the engine does.
+// accounting, and routing picks the cheapest capable structure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/oracle.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
 #include "graph/mask.h"
@@ -15,7 +13,6 @@
 #include "service/protocol.h"
 #include "sim/failure_sim.h"
 #include "spath/bfs.h"
-#include "util/rng.h"
 
 namespace ftbfs {
 namespace {
@@ -45,14 +42,22 @@ TEST(CanonicalFaults, SortsAndDedupes) {
   EXPECT_EQ((FaultSpec{edges, vertices}.size()), 8u);
 }
 
-TEST(CanonicalFaults, DuplicateIdsCountOnceInOracleBudget) {
+TEST(CanonicalFaults, DuplicateIdsCountOnceInStructureBudget) {
   const Graph g = erdos_renyi(30, 0.2, 23);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 1);
+  ServiceConfig config;
+  config.lazy_build = false;
+  OracleService service(g, config);
+  service.build_structure("f1", 0, 1, FaultModel::kEdge);
   // {e, e} is one distinct fault — inside the f=1 budget (the seed double-
   // counted it and aborted).
-  const std::vector<EdgeId> twice = {4, 4};
-  const std::vector<EdgeId> once = {4};
-  EXPECT_EQ(oracle.distance(9, twice), oracle.distance(9, once));
+  QueryRequest twice = distance_request(0, {9}, {4, 4});
+  twice.structure = "f1";
+  QueryRequest once = distance_request(0, {9}, {4});
+  once.structure = "f1";
+  const QueryResponse a = service.serve(twice);
+  EXPECT_EQ(a.status, StatusCode::kOk);
+  EXPECT_TRUE(a.exact);
+  EXPECT_EQ(a.distances, service.serve(once).distances);
 }
 
 // --- status codes ----------------------------------------------------------
@@ -278,10 +283,10 @@ TEST(Service, CacheProjectsFaultsOntoStructure) {
 }
 
 TEST(Service, LruEvictsOldScenarios) {
-  // Capacity 2 over the default 8 shards caps every shard at one line, so 12
-  // distinct scenarios must evict (at most 8 stay resident) while the most
-  // recent one still hits. The exact CLOCK victim order is pinned at the
-  // cache layer (ShardedCache.ComputeOnceLatchAndEviction, one shard).
+  // Capacity 2 is honoured exactly: it spreads over two one-line shards, so
+  // of 12 distinct scenarios exactly 2 stay resident and 10 are evicted,
+  // while the most recent one still hits. The exact CLOCK victim order is
+  // pinned at the cache layer (ShardedCache.ComputeOnceLatchAndEviction).
   const Graph g = cycle_graph(12);
   ServiceConfig config;
   config.cache_capacity = 2;
@@ -294,9 +299,8 @@ TEST(Service, LruEvictsOldScenarios) {
     EXPECT_FALSE(service.serve(req).cache_hit);
   }
   const ServiceStats stats = service.stats();
-  EXPECT_GT(stats.cache_evictions, 0u);
-  EXPECT_LE(stats.cache_lines, 8u);
-  EXPECT_EQ(stats.cache_evictions + stats.cache_lines, g.num_edges());
+  EXPECT_EQ(stats.cache_lines, 2u);
+  EXPECT_EQ(stats.cache_evictions, 10u);
   EXPECT_TRUE(service.serve(req).cache_hit);  // the last scenario stayed
 }
 
@@ -336,23 +340,6 @@ TEST(Service, LazyBuildPopulatesPoolOnce) {
   EXPECT_EQ(service.stats().structures_built, 1u);
 }
 
-TEST(Service, PointOracleServesSingleFaultRequests) {
-  const Graph g = erdos_renyi(40, 0.2, 25);
-  OracleService service(g);
-  service.enable_point_oracle(0);
-  FaultQueryEngine truth(g);
-  for (EdgeId e = 0; e < g.num_edges(); e += 5) {
-    const std::vector<EdgeId> faults = {e};
-    const QueryResponse resp = service.serve(distance_request(0, {11}, {e}));
-    EXPECT_EQ(resp.served_by, "point_oracle");
-    EXPECT_TRUE(resp.exact);
-    EXPECT_EQ(resp.distances[0], truth.distance(0, 11, edge_faults(faults)));
-  }
-  // Two faults leave the point oracle's range.
-  EXPECT_NE(service.serve(distance_request(0, {11}, {0, 1})).served_by,
-            "point_oracle");
-}
-
 TEST(Service, ReachabilityKind) {
   const Graph g = path_graph(5);
   OracleService service(g);
@@ -364,48 +351,6 @@ TEST(Service, ReachabilityKind) {
   ASSERT_EQ(resp.reachable.size(), 2u);
   EXPECT_TRUE(resp.reachable[0]);
   EXPECT_FALSE(resp.reachable[1]);
-}
-
-// --- FtBfsOracle over the service (compat path) ----------------------------
-
-TEST(OracleCompat, MatchesDirectEngineAnswers) {
-  const Graph g = erdos_renyi(40, 0.15, 27);
-  BuildRequest req;
-  req.graph = &g;
-  req.sources = {0};
-  req.fault_budget = 2;
-  const BuildResult built = BuilderRegistry::instance().build("cons2ftbfs", req);
-  FtBfsOracle oracle(g, 0, 2, FtStructure{built.structure});
-  FaultQueryEngine direct(g, built.structure);
-  Rng rng(3);
-  for (int probe = 0; probe < 100; ++probe) {
-    std::vector<EdgeId> faults;
-    for (std::size_t i = rng.next_below(3); i > 0; --i) {
-      faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
-    }
-    const Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(oracle.distance(v, faults),
-              direct.distance(0, v, edge_faults(faults)));
-    const auto via_oracle = oracle.shortest_path(v, faults);
-    const auto via_engine = direct.shortest_path(0, v, edge_faults(faults));
-    EXPECT_EQ(via_oracle.has_value(), via_engine.has_value());
-    if (via_oracle.has_value()) {
-      EXPECT_EQ(via_oracle->size(), via_engine->size());
-    }
-    EXPECT_EQ(oracle.all_distances(faults),
-              direct.all_distances(0, edge_faults(faults)));
-  }
-}
-
-TEST(OracleCompat, ExposesPinnedServiceEntry) {
-  const Graph g = cycle_graph(8);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 1);
-  QueryRequest req = distance_request(0, {3}, {0});
-  req.structure = "ftbfs_oracle";
-  const QueryResponse resp = oracle.service().serve(req);
-  EXPECT_EQ(resp.status, StatusCode::kOk);
-  EXPECT_TRUE(resp.exact);
-  EXPECT_EQ(resp.distances[0], oracle.distance(3, std::vector<EdgeId>{0}));
 }
 
 // --- failure simulator over the service ------------------------------------
