@@ -1,5 +1,6 @@
 // Replacement-path *selection* building blocks shared by the construction
-// algorithms (single-failure FT-BFS and Cons2FTBFS).
+// algorithms (single-failure FT-BFS, Cons2FTBFS and the generic f-failure
+// structure).
 //
 // The paper's algorithms do not take an arbitrary shortest path in G∖F: they
 // take the W-unique shortest path in a carefully restricted graph that forces
@@ -15,7 +16,8 @@
 // reasons about. Both are answered by one bidirectional search
 // (spath/bidir.h) that touches the two balls around s and v instead of the
 // whole graph. Full W-SSSP (Dijkstra) remains only for the tree T0(s), once
-// per build.
+// per build. The f-failure structure (core/kfail_ftbfs.h) needs no
+// divergence rule: it asks w_path() under the chain's fault mask directly.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 #include "spath/bidir.h"
 #include "spath/dijkstra.h"
 #include "spath/path.h"
-#include "spath/replacement.h"
 #include "spath/weights.h"
 
 namespace ftbfs {

@@ -298,23 +298,34 @@ const BfsResult* FaultQueryEngine::repair(Scratch& s, const Baseline& base,
   return &s.repair;
 }
 
-const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
-    Scratch& s, Vertex source, const FaultSpec& faults,
-    std::span<const Vertex> early_exit_targets) {
+// When no fault touches the baseline tree the masked BFS would retrace the
+// fault-free BFS move for move (a blocked non-tree edge is only ever scanned
+// toward an already-discovered vertex, a blocked unreached vertex has no
+// reached neighbors), so the baseline result — parents and parent_edges
+// included — IS the full-BFS result, bit for bit. Tree damage runs the
+// parent-carrying repair: hops stay bit-identical to the full BFS, parents
+// form a valid shortest-path tree of H ∖ F (unaffected vertices keep baseline
+// parents, affected ones get their repair parents). An unaffected target
+// keeps its whole baseline root path (ancestors of unaffected vertices are
+// unaffected), so with `targets` given and none of them affected the baseline
+// tree answers as a fast-path hit; with no targets that exit never fires and
+// every full run labels the whole reachable set.
+const BfsResult& FaultQueryEngine::resolve(Scratch& s, Vertex source,
+                                           const FaultSpec& faults,
+                                           std::span<const Vertex> targets) {
   apply_faults(s, faults);
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (const Baseline* base = baseline_for(source)) {
     switch (classify(s, *base, source)) {
       case Damage::kNone:
         fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-        return base->tree.hops;
+        return base->tree;
       case Damage::kSubtrees: {
         bool from_baseline = false;
-        if (const BfsResult* r =
-                repair(s, *base, early_exit_targets, &from_baseline)) {
+        if (const BfsResult* r = repair(s, *base, targets, &from_baseline)) {
           (from_baseline ? fast_path_hits_ : repair_bfs_)
               .fetch_add(1, std::memory_order_relaxed);
-          return r->hops;
+          return *r;
         }
         break;  // affected region above threshold: full BFS
       }
@@ -323,7 +334,7 @@ const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
     }
   }
   full_bfs_.fetch_add(1, std::memory_order_relaxed);
-  return s.bfs.run_until(source, early_exit_targets, &s.mask).hops;
+  return s.bfs.run_until(source, targets, &s.mask);
 }
 
 FaultQueryEngine::Scratch& FaultQueryEngine::scratch(std::size_t slot) {
@@ -350,86 +361,22 @@ void FaultQueryEngine::release_scratch(std::size_t slot) {
   pool_->free_list.push_back(slot);
 }
 
-// The parent-exposing primitive. When no fault touches the baseline tree the
-// masked BFS would retrace the fault-free BFS move for move (a blocked
-// non-tree edge is only ever scanned toward an already-discovered vertex, a
-// blocked unreached vertex has no reached neighbors), so the baseline result
-// — parents and parent_edges included — IS the full-BFS result, bit for bit.
-// Tree damage runs the parent-carrying repair: hops stay bit-identical to
-// the full BFS, parents form a valid shortest-path tree of H ∖ F (unaffected
-// vertices keep baseline parents, affected ones get their repair parents).
-const BfsResult& FaultQueryEngine::query_in(Scratch& s, Vertex source,
-                                            const FaultSpec& faults) {
-  apply_faults(s, faults);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  if (const Baseline* base = baseline_for(source)) {
-    switch (classify(s, *base, source)) {
-      case Damage::kNone:
-        fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-        return base->tree;
-      case Damage::kSubtrees: {
-        bool from_baseline = false;  // never set: no targets to early-exit on
-        if (const BfsResult* r = repair(s, *base, {}, &from_baseline)) {
-          repair_bfs_.fetch_add(1, std::memory_order_relaxed);
-          return *r;
-        }
-        break;  // affected region above threshold: full BFS
-      }
-      case Damage::kSourceBlocked:
-        break;  // everything unreachable; let the full BFS report it
-    }
-  }
-  full_bfs_.fetch_add(1, std::memory_order_relaxed);
-  return s.bfs.run(source, &s.mask);
-}
-
 std::uint32_t FaultQueryEngine::distance_in(Scratch& s, Vertex source,
                                             Vertex target,
                                             const FaultSpec& faults) {
   const Vertex targets[1] = {target};
-  return hops_in(s, source, faults, targets)[target];
+  return resolve(s, source, faults, targets).hops[target];
 }
 
 std::optional<Path> FaultQueryEngine::shortest_path_in(Scratch& s,
                                                        Vertex source,
                                                        Vertex target,
                                                        const FaultSpec& faults) {
-  apply_faults(s, faults);
-  queries_.fetch_add(1, std::memory_order_relaxed);
   const Vertex targets[1] = {target};
-  const BfsResult* r = nullptr;
-  if (const Baseline* base = baseline_for(source)) {
-    switch (classify(s, *base, source)) {
-      case Damage::kNone:
-        // Identical to the masked BFS tree (see query_in), so the extracted
-        // path is the exact path the full run_until would have produced.
-        fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-        r = &base->tree;
-        break;
-      case Damage::kSubtrees: {
-        // An unaffected target keeps its whole baseline root path (ancestors
-        // of unaffected vertices are unaffected); an affected one walks its
-        // repair parents into the unaffected boundary and baseline from
-        // there. Either way the walk below never crosses a faulted element.
-        bool from_baseline = false;
-        r = repair(s, *base, targets, &from_baseline);
-        if (r != nullptr) {
-          (from_baseline ? fast_path_hits_ : repair_bfs_)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        break;  // nullptr: affected region above threshold, full BFS
-      }
-      case Damage::kSourceBlocked:
-        break;  // everything unreachable; let the full BFS report it
-    }
-  }
-  if (r == nullptr) {
-    full_bfs_.fetch_add(1, std::memory_order_relaxed);
-    r = &s.bfs.run_until(source, targets, &s.mask);
-  }
-  if (r->hops[target] == kInfHops) return std::nullopt;
+  const BfsResult& r = resolve(s, source, faults, targets);
+  if (r.hops[target] == kInfHops) return std::nullopt;
   Path p;
-  for (Vertex cur = target; cur != kInvalidVertex; cur = r->parent[cur]) {
+  for (Vertex cur = target; cur != kInvalidVertex; cur = r.parent[cur]) {
     p.push_back(cur);
   }
   std::reverse(p.begin(), p.end());
@@ -438,7 +385,7 @@ std::optional<Path> FaultQueryEngine::shortest_path_in(Scratch& s,
 
 const BfsResult& FaultQueryEngine::query(Vertex source,
                                          const FaultSpec& faults) {
-  return query_in(scratch(0), source, faults);
+  return resolve(scratch(0), source, faults, {});
 }
 
 std::uint32_t FaultQueryEngine::distance(Vertex source, Vertex target,
@@ -454,12 +401,12 @@ std::optional<Path> FaultQueryEngine::shortest_path(Vertex source,
 
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     Vertex source, const FaultSpec& faults) {
-  return hops_in(scratch(0), source, faults, {});
+  return resolve(scratch(0), source, faults, {}).hops;
 }
 
 const BfsResult& FaultQueryEngine::query(ScratchLease& lease, Vertex source,
                                          const FaultSpec& faults) {
-  return query_in(*lease.scratch_, source, faults);
+  return resolve(*lease.scratch_, source, faults, {});
 }
 
 std::uint32_t FaultQueryEngine::distance(ScratchLease& lease, Vertex source,
@@ -477,7 +424,7 @@ std::optional<Path> FaultQueryEngine::shortest_path(ScratchLease& lease,
 
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     ScratchLease& lease, Vertex source, const FaultSpec& faults) {
-  return hops_in(*lease.scratch_, source, faults, {});
+  return resolve(*lease.scratch_, source, faults, {}).hops;
 }
 
 std::vector<std::uint32_t> FaultQueryEngine::batch(
@@ -498,12 +445,12 @@ std::vector<std::uint32_t> FaultQueryEngine::batch(
     // baseline; damaged rows run the bounded repair; the early-exit full BFS
     // remains the fallback.
     const std::vector<std::uint32_t>& hops =
-        hops_in(s, source, fault_sets[i], targets);
+        resolve(s, source, fault_sets[i], targets).hops;
     for (std::size_t j = 0; j < cols; ++j) {
       out[i * cols + j] = hops[targets[j]];
     }
   }
-  // hops_in counted each row in queries_ and in the path counters.
+  // resolve counted each row in queries_ and in the path counters.
   return out;
 }
 

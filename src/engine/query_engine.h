@@ -368,13 +368,15 @@ class FaultQueryEngine {
                                         std::span<const Vertex> targets,
                                         bool* from_baseline);
 
-  // Hops-only core all distance-reading queries route through: picks the
-  // baseline / repair / full path and bumps the matching counter.
-  [[nodiscard]] const std::vector<std::uint32_t>& hops_in(
-      Scratch& s, Vertex source, const FaultSpec& faults,
-      std::span<const Vertex> early_exit_targets);
+  // The one tier dispatcher every query routes through: applies the faults,
+  // picks the baseline / repair / full path, bumps the matching counter and
+  // returns the tree it read from. With non-empty `targets` only their rows
+  // are guaranteed exact (the repair may answer from the untouched baseline,
+  // the full BFS may stop early); an empty span makes every row exact.
+  [[nodiscard]] const BfsResult& resolve(Scratch& s, Vertex source,
+                                         const FaultSpec& faults,
+                                         std::span<const Vertex> targets);
 
-  const BfsResult& query_in(Scratch& s, Vertex source, const FaultSpec& faults);
   std::uint32_t distance_in(Scratch& s, Vertex source, Vertex target,
                             const FaultSpec& faults);
   std::optional<Path> shortest_path_in(Scratch& s, Vertex source, Vertex target,

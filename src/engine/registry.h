@@ -47,7 +47,7 @@ struct BuildRequest {
   // Enables optional instrumentation (e.g. Cons2FTBFS path classification);
   // costs time, never changes the structure.
   bool collect_stats = false;
-  BuildOptions options;
+  BuildOptions options{};
 };
 
 // One construction result: the structure plus uniform bookkeeping.

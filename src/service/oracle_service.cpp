@@ -24,8 +24,8 @@ bool model_covers(FaultModel model, bool has_edge_faults,
   return true;  // fault-free queries are within every FT guarantee
 }
 
-// Lock-striping width of the scenario cache (capped at its capacity) and the
-// lazy-build map. Eviction is per-shard CLOCK over an exact capacity slice.
+// Lock-striping width of the scenario cache (capped at its capacity).
+// Eviction is per-shard CLOCK over an exact capacity slice.
 constexpr unsigned kShards = 8;
 
 // A cache line is stored as a diff against the baseline when at most this
@@ -71,8 +71,7 @@ OracleService::Entry::Entry(const Graph& g)
 OracleService::OracleService(const Graph& g, ServiceConfig config)
     : g_(&g),
       config_(config),
-      cache_(config.cache_capacity, kShards),
-      lazy_builds_(kShards) {
+      cache_(config.cache_capacity, kShards) {
   entries_.emplace_back(*g_);  // entry 0: ground truth, always available
 }
 

@@ -29,10 +29,16 @@
 #include "graph/graph.h"
 #include "graph/mask.h"
 #include "spath/bfs.h"
-#include "spath/replacement.h"
+#include "spath/path.h"
 #include "spath/weights.h"
 
 namespace ftbfs {
+
+// A selected path and its W-key.
+struct RPath {
+  Path verts;
+  DistKey key;
+};
 
 // Reusable engine; scratch is epoch-stamped, so a run costs only the vertices
 // it labels, never an O(n) reset.

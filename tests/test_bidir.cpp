@@ -141,12 +141,16 @@ TEST(BidirectionalBfs, UnmaskedMatchesFullSearch) {
   BidirectionalBfs pair(g, w);
   Dijkstra dijkstra(g, w);
   const SpResult& ref = dijkstra.run(0);
-  for (Vertex t = 0; t < g.num_vertices(); ++t) {
-    EXPECT_EQ(pair.hops(0, t, nullptr), ref.hops(t)) << t;
-    const std::optional<RPath> got = pair.w_path(0, t, nullptr);
-    ASSERT_TRUE(got.has_value()) << t;
-    EXPECT_EQ(got->key, ref.dist[t]) << t;
-    EXPECT_EQ(got->verts, extract_path(ref, t)) << t;
+  // Two passes: the second asks every pair again on warm scratch, so the
+  // W-path must come back identical across calls.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Vertex t = 0; t < g.num_vertices(); ++t) {
+      EXPECT_EQ(pair.hops(0, t, nullptr), ref.hops(t)) << t;
+      const std::optional<RPath> got = pair.w_path(0, t, nullptr);
+      ASSERT_TRUE(got.has_value()) << t;
+      EXPECT_EQ(got->key, ref.dist[t]) << t;
+      EXPECT_EQ(got->verts, extract_path(ref, t)) << t;
+    }
   }
 }
 
@@ -177,6 +181,14 @@ TEST(BidirectionalBfs, EndpointCases) {
   EXPECT_EQ(pair.hops(0, 2, &mask), kInfHops);
   EXPECT_FALSE(pair.w_path(0, 2, &mask).has_value());
   EXPECT_EQ(pair.hops(1, 3, &mask), 2u);
+
+  // A fault on the edge between adjacent endpoints forces the long way round.
+  mask.clear();
+  mask.block_edge(g.find_edge(0, 1));
+  const std::optional<RPath> round = pair.w_path(0, 1, &mask);
+  ASSERT_TRUE(round.has_value());
+  EXPECT_EQ(round->key.hops, 5u);
+  EXPECT_EQ(round->verts, (Path{0, 5, 4, 3, 2, 1}));
 
   // Whitelist at the target: only the allowed incident edge may be used.
   mask.clear();

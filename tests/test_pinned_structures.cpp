@@ -3,7 +3,8 @@
 // FtBfsStats field are recorded in this file. The values were produced by the
 // selector that answered each distance test with a full-graph BFS and each
 // path selection with a full Dijkstra; the pair search (spath/bidir.h) must
-// reproduce them exactly, at one job and at four.
+// reproduce them exactly, at one job and at four. The f-failure rows were
+// recorded when every fault chain's path came from a full Dijkstra too.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 
 #include "core/cons2ftbfs.h"
 #include "core/ftmbfs.h"
+#include "core/kfail_ftbfs.h"
 #include "core/single_ftbfs.h"
 #include "graph/generators.h"
 
@@ -116,9 +118,105 @@ const MultiPin kMultiSource[] = {
      {189, 183, 189}},
 };
 
-void expect_pin(const Pin& pin, const FtStructure& h, unsigned jobs) {
-  const std::string label = std::string(pin.algo) + " on " + pin.family +
-                            " jobs=" + std::to_string(jobs);
+struct KFailPin {
+  Pin pin;
+  unsigned f;
+  std::uint64_t chains_enumerated;
+  std::uint64_t chain_cap_hits;
+};
+
+// f-failure builds (edge and vertex faults), source 0, default options.
+const KFailPin kKFail[] = {
+    {{"kfail_ftbfs", "sparse400", 1028, 0xaca69d254822e07cull,
+      {399, 629, 4, 6610, 6569, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 6610, 0},
+    {{"kfail_ftbfs_vertex", "sparse400", 1022, 0x67633e47281f4064ull,
+      {399, 623, 4, 3850, 3811, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 3850, 0},
+    {{"kfail_ftbfs", "sparse", 407, 0xd41035f8b8525ee4ull,
+      {159, 248, 4, 2392, 2377, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 2392, 0},
+    {{"kfail_ftbfs_vertex", "sparse", 402, 0xe13661026c3f7418ull,
+      {159, 243, 4, 1358, 1358, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 1358, 0},
+    {{"kfail_ftbfs", "er", 273, 0xb5a9d0780b034dabull,
+      {89, 184, 4, 1044, 1038, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 1044, 0},
+    {{"kfail_ftbfs_vertex", "er", 265, 0x15dbf3fa72e86c9bull,
+      {89, 176, 4, 542, 539, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 542, 0},
+    {{"kfail_ftbfs", "grid", 144, 0x9ba00b97d60c6d43ull,
+      {80, 64, 3, 7136, 5853, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 7136, 0},
+    {{"kfail_ftbfs_vertex", "grid", 144, 0x9ba00b97d60c6d43ull,
+      {80, 64, 2, 5808, 4737, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 5808, 0},
+    {{"kfail_ftbfs", "hypercube", 164, 0xc1191253445c81ebull,
+      {63, 101, 3, 939, 917, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 939, 0},
+    {{"kfail_ftbfs_vertex", "hypercube", 165, 0x5e02b34d29b7cb38ull,
+      {63, 102, 3, 543, 523, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 543, 0},
+    {{"kfail_ftbfs", "chords", 139, 0xa37bce2fabbc13c6ull,
+      {99, 40, 2, 4469, 4285, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 4469, 0},
+    {{"kfail_ftbfs_vertex", "chords", 139, 0xa37bce2fabbc13c6ull,
+      {99, 40, 2, 3295, 3134, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 3295, 0},
+    {{"kfail_ftbfs", "barbell", 130, 0x22c29597cfc44e05ull,
+      {39, 91, 4, 248, 249, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 248, 0},
+    {{"kfail_ftbfs_vertex", "barbell", 76, 0xaefc507bd8dda008ull,
+      {39, 37, 2, 94, 95, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 94, 0},
+    {{"kfail_ftbfs", "sparse", 456, 0x3d38596a8d3e329cull,
+      {159, 297, 4, 9349, 9139, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 9349, 0},
+    {{"kfail_ftbfs_vertex", "sparse", 454, 0x9b27515a9175058full,
+      {159, 295, 4, 4069, 3989, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 4069, 0},
+    {{"kfail_ftbfs", "er", 333, 0x63738f373ef13d5aull,
+      {89, 244, 6, 3503, 3406, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 3503, 0},
+    {{"kfail_ftbfs_vertex", "er", 325, 0x23d2af50311a1441ull,
+      {89, 236, 6, 1320, 1281, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 1320, 0},
+    {{"kfail_ftbfs", "grid", 144, 0x9ba00b97d60c6d43ull,
+      {80, 64, 2, 61619, 45027, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 61619, 0},
+    {{"kfail_ftbfs_vertex", "grid", 144, 0x9ba00b97d60c6d43ull,
+      {80, 64, 2, 46372, 33506, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 46372, 0},
+    {{"kfail_ftbfs", "hypercube", 185, 0x2ead64a8229ea212ull,
+      {63, 122, 4, 3606, 3420, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 3606, 0},
+    {{"kfail_ftbfs_vertex", "hypercube", 185, 0x2ead64a8229ea212ull,
+      {63, 122, 4, 1598, 1466, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 1598, 0},
+    {{"kfail_ftbfs", "chords", 139, 0xa37bce2fabbc13c6ull,
+      {99, 40, 2, 34428, 32009, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 34428, 0},
+    {{"kfail_ftbfs_vertex", "chords", 139, 0xa37bce2fabbc13c6ull,
+      {99, 40, 2, 22286, 20447, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 22286, 0},
+    {{"kfail_ftbfs", "barbell", 165, 0xfe39671686d34a83ull,
+      {39, 126, 6, 663, 664, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 663, 0},
+    {{"kfail_ftbfs_vertex", "barbell", 76, 0xaefc507bd8dda008ull,
+      {39, 37, 2, 166, 167, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 166, 0},
+    {{"kfail_ftbfs", "sparse400", 1133, 0x6ce67c4d97619abfull,
+      {399, 734, 5, 27115, 26758, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 27115, 0},
+    {{"kfail_ftbfs_vertex", "sparse400", 1131, 0x9b183085f037f71bull,
+      {399, 732, 5, 12078, 11834, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     3, 12078, 0},
+};
+
+// `run` names the build's setting (jobs or f) in failure messages.
+void expect_pin(const Pin& pin, const FtStructure& h, const std::string& run) {
+  const std::string label =
+      std::string(pin.algo) + " on " + pin.family + " " + run;
   EXPECT_EQ(h.edges.size(), pin.edges) << label;
   EXPECT_EQ(edge_hash(h.edges), pin.hash) << label;
   EXPECT_EQ(stats_row(h.stats), pin.stats) << label;
@@ -126,18 +224,19 @@ void expect_pin(const Pin& pin, const FtStructure& h, unsigned jobs) {
 
 TEST(PinnedStructures, SingleSourceBuildsMatchRecordedOutput) {
   for (const unsigned jobs : {1u, 4u}) {
+    const std::string run = "jobs=" + std::to_string(jobs);
     for (const Pin& pin : kSingleSource) {
       const Graph g = make_family(pin.family);
       const std::string algo = pin.algo;
       if (algo == "cons2ftbfs") {
         Cons2Options opt;
         opt.jobs = jobs;
-        expect_pin(pin, build_cons2ftbfs(g, 0, opt), jobs);
+        expect_pin(pin, build_cons2ftbfs(g, 0, opt), run);
       } else {
         ASSERT_EQ(algo, "single_ftbfs");
         SingleFtbfsOptions opt;
         opt.jobs = jobs;
-        expect_pin(pin, build_single_ftbfs(g, 0, opt), jobs);
+        expect_pin(pin, build_single_ftbfs(g, 0, opt), run);
       }
     }
   }
@@ -147,6 +246,7 @@ TEST(PinnedStructures, MultiSourceBuildsMatchRecordedOutput) {
   const Graph g = random_connected(100, 300, 9);
   const std::vector<Vertex> sources = {0, 17, 42};
   for (const unsigned jobs : {1u, 4u}) {
+    const std::string run = "jobs=" + std::to_string(jobs);
     FtMbfsOptions opt;
     opt.jobs = jobs;
     for (const MultiPin& mp : kMultiSource) {
@@ -154,9 +254,24 @@ TEST(PinnedStructures, MultiSourceBuildsMatchRecordedOutput) {
       const FtMbfsResult r = algo == "cons2ftmbfs"
                                  ? build_cons2ftmbfs(g, sources, opt)
                                  : build_single_ftmbfs(g, sources, opt);
-      expect_pin(mp.pin, r.structure, jobs);
+      expect_pin(mp.pin, r.structure, run);
       EXPECT_EQ(r.per_source_size, mp.per_source_size) << algo;
     }
+  }
+}
+
+TEST(PinnedStructures, KFailBuildsMatchRecordedOutput) {
+  for (const KFailPin& kp : kKFail) {
+    const Graph g = make_family(kp.pin.family);
+    const std::string algo = kp.pin.algo;
+    const KFailResult r = algo == "kfail_ftbfs"
+                              ? build_kfail_ftbfs(g, 0, kp.f)
+                              : build_kfail_ftbfs_vertex(g, 0, kp.f);
+    const std::string run = "f=" + std::to_string(kp.f);
+    expect_pin(kp.pin, r.structure, run);
+    const std::string label = algo + " on " + kp.pin.family + " " + run;
+    EXPECT_EQ(r.kstats.chains_enumerated, kp.chains_enumerated) << label;
+    EXPECT_EQ(r.kstats.chain_cap_hits, kp.chain_cap_hits) << label;
   }
 }
 
