@@ -1,14 +1,12 @@
 #include "core/cons2ftbfs.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/selector.h"
 #include "structure/newending.h"
-#include "util/concurrency.h"
 
 namespace ftbfs {
 namespace {
@@ -23,7 +21,6 @@ struct VertexOutcome {
   PathClassCounts classes;  // classification of `records` (when enabled)
   Path pi;                  // π(s,v), kept for the record_sink call
   std::uint64_t fault_pairs = 0;
-  std::uint64_t dijkstra = 0;
   std::uint64_t fallbacks = 0;
 };
 
@@ -32,13 +29,12 @@ struct VertexOutcome {
 // shared state — the commit step replays the outcome in target order.
 class PerVertexRun {
  public:
-  PerVertexRun(const Graph& g, PathSelector& sel, VertexIndexMap& pi_pos,
-               VertexIndexMap& aux_pos, Vertex s, Vertex v, Path pi,
-               const std::vector<bool>& in_h, bool classify)
+  PerVertexRun(const Graph& g, TargetWorkspace& ws, Vertex s, Vertex v,
+               Path pi, const std::vector<bool>& in_h, bool classify)
       : g_(g),
-        sel_(sel),
-        pi_pos_(pi_pos),
-        aux_pos_(aux_pos),
+        sel_(ws.sel),
+        pi_pos_(ws.pi_pos),
+        aux_pos_(ws.aux_pos),
         s_(s),
         v_(v),
         pi_(std::move(pi)),
@@ -53,14 +49,12 @@ class PerVertexRun {
   }
 
   VertexOutcome run() {
-    const std::uint64_t d0 = sel_.dijkstra_runs();
     step1();
     step2();
     step3();
     if (classify_) {
       out_.classes = classify_new_ending(g_, pi_, out_.records);
     }
-    out_.dijkstra = sel_.dijkstra_runs() - d0;
     out_.pi = std::move(pi_);
     return std::move(out_);
   }
@@ -350,14 +344,6 @@ class PerVertexRun {
   VertexOutcome out_;
 };
 
-struct Cons2Workspace {
-  PathSelector sel;
-  VertexIndexMap pi_pos;
-  VertexIndexMap aux_pos;
-  Cons2Workspace(const Graph& g, const WeightAssignment& w)
-      : sel(g, w), pi_pos(g.num_vertices()), aux_pos(g.num_vertices()) {}
-};
-
 void max_classes(PathClassCounts& m, const PathClassCounts& c) {
   m.single = std::max(m.single, c.single);
   m.a_pi_pi = std::max(m.a_pi_pi, c.a_pi_pi);
@@ -371,115 +357,39 @@ void max_classes(PathClassCounts& m, const PathClassCounts& c) {
 
 FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
                              const Cons2Options& opt) {
-  FTBFS_EXPECTS(s < g.num_vertices());
-  const WeightAssignment w(g, opt.weight_seed);
-  PathSelector sel(g, w);
-
-  sel.mask().clear();
-  const SpResult tree = sel.w_sssp(s);  // copy: buffers are reused later
-
-  FtStructure h;
-  std::vector<bool> in_h(g.num_edges(), false);
-  std::vector<Vertex> targets;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (v != s && tree.reached(v)) {
-      targets.push_back(v);
-      if (!in_h[tree.parent_edge[v]]) {
-        in_h[tree.parent_edge[v]] = true;
-        ++h.stats.tree_edges;
-      }
-    }
-  }
-  h.stats.dijkstra_runs = sel.dijkstra_runs();  // the tree W-SSSP
-
-  // Conflict tracking for the speculative schedule: a target is dirty iff a
-  // commit since the current block's snapshot added an edge incident to it.
-  std::vector<std::uint32_t> dirty(g.num_vertices(), 0);
-  std::uint32_t dirty_epoch = 0;
-
-  auto run_target = [&](Cons2Workspace& ws, Vertex v) {
-    PerVertexRun run(g, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
-                     extract_path(tree, v), in_h, opt.classify_paths);
-    return run.run();
-  };
-
-  auto commit_outcome = [&](Vertex v, VertexOutcome&& out) {
-    for (const EdgeId e : out.added) {
-      FTBFS_ENSURES(!in_h[e]);
-      in_h[e] = true;
-      const Edge& ed = g.edge(e);
-      dirty[ed.u] = dirty_epoch;
-      dirty[ed.v] = dirty_epoch;
-    }
-    h.stats.new_edges += out.added.size();
-    h.stats.max_new_per_vertex =
-        std::max(h.stats.max_new_per_vertex,
-                 static_cast<std::uint64_t>(out.added.size()));
-    h.stats.fault_pairs_considered += out.fault_pairs;
-    h.stats.dijkstra_runs += out.dijkstra;
-    h.stats.divergence_fallbacks += out.fallbacks;
-    if (opt.classify_paths) {
-      h.stats.classes.single += out.classes.single;
-      h.stats.classes.a_pi_pi += out.classes.a_pi_pi;
-      h.stats.classes.b_nodet += out.classes.b_nodet;
-      h.stats.classes.c_indep += out.classes.c_indep;
-      h.stats.classes.d_pi_interf += out.classes.d_pi_interf;
-      h.stats.classes.e_d_interf += out.classes.e_d_interf;
-      max_classes(h.stats.max_classes_per_vertex, out.classes);
-      if (opt.record_sink) opt.record_sink(v, out.pi, out.records);
-    }
-  };
-  auto bump_progress = [&] {
-    if (opt.progress != nullptr) {
-      opt.progress->fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  const unsigned workers = resolve_jobs(opt.jobs, targets.size());
-  ParallelBuildReport report;
-  Cons2Workspace main_ws{g, w};
-  if (workers <= 1) {
-    for (const Vertex v : targets) {
-      commit_outcome(v, run_target(main_ws, v));
-      bump_progress();
-    }
-  } else {
-    std::vector<std::unique_ptr<Cons2Workspace>> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.push_back(std::make_unique<Cons2Workspace>(g, w));
-    }
-    std::vector<VertexOutcome> slots(speculative_block_size(workers));
-    run_speculate_commit(
-        targets.size(), workers, /*on_block_start=*/[&] { ++dirty_epoch; },
-        [&](unsigned worker, std::size_t idx, std::size_t slot) {
-          slots[slot] = run_target(*pool[worker], targets[idx]);
-          // Progress counts finished per-target work, not commits — block
-          // commits land together, which would quantize the sampled rate the
-          // bench_e13 windowed sweep reads from outside the process.
-          bump_progress();
-        },
-        [&](std::size_t idx, std::size_t slot) {
-          const Vertex v = targets[idx];
-          VertexOutcome out = std::move(slots[slot]);
-          if (dirty[v] == dirty_epoch) {
-            // An earlier commit in this block touched a v-incident edge: the
-            // speculative run may have seen a stale E(v,H). Re-run against
-            // the true state — the sequential semantics, exactly.
-            ++report.conflicts;
-            out = run_target(main_ws, v);
-          }
-          commit_outcome(v, std::move(out));
-        },
-        &report);
-  }
-  report.workers = workers;
-  if (opt.parallel_report != nullptr) *opt.parallel_report = report;
-
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (in_h[e]) h.edges.push_back(e);
-  }
-  return h;
+  TargetBuild build(g, s, opt);
+  // A target is stale iff a commit of the current block added an edge
+  // incident to it: the only part of H its run reads.
+  std::vector<std::uint64_t> dirty(g.num_vertices(), 0);
+  return build.run(
+      [&](TargetWorkspace& ws, Vertex v) {
+        return PerVertexRun(g, ws, s, v, extract_path(build.tree(), v),
+                            build.in_h(), opt.classify_paths)
+            .run();
+      },
+      [&](Vertex v, VertexOutcome&& out) {
+        for (const EdgeId e : out.added) {
+          const bool fresh = build.keep(e);
+          FTBFS_ENSURES(fresh);
+          const Edge& ed = g.edge(e);
+          dirty[ed.u] = dirty[ed.v] = build.block();
+        }
+        FtBfsStats& stats = build.stats();
+        stats.fault_pairs_considered += out.fault_pairs;
+        stats.divergence_fallbacks += out.fallbacks;
+        if (opt.classify_paths) {
+          stats.classes.single += out.classes.single;
+          stats.classes.a_pi_pi += out.classes.a_pi_pi;
+          stats.classes.b_nodet += out.classes.b_nodet;
+          stats.classes.c_indep += out.classes.c_indep;
+          stats.classes.d_pi_interf += out.classes.d_pi_interf;
+          stats.classes.e_d_interf += out.classes.e_d_interf;
+          max_classes(stats.max_classes_per_vertex, out.classes);
+          if (opt.record_sink) opt.record_sink(v, out.pi, out.records);
+        }
+        return static_cast<std::uint64_t>(out.added.size());
+      },
+      /*stale=*/[&](Vertex v) { return dirty[v] == build.block(); });
 }
 
 }  // namespace ftbfs

@@ -15,7 +15,6 @@
 // H is the union of the BFS tree T0(s) and all kept last edges.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -29,8 +28,13 @@ namespace ftbfs {
 
 struct NewEndingRecord;
 
-struct Cons2Options {
-  std::uint64_t weight_seed = 1;  // seed of the tie-breaking assignment W
+// Seed of W, jobs, progress and report (build_parallel.h), plus path
+// classification. Targets are speculated in parallel against a frozen H and
+// committed in target order; a target is stale when an earlier commit of its
+// block added an edge incident to it (the only state a target can observe)
+// and is re-run against the true H, so the structure and every stats field
+// are byte-identical at any job count.
+struct Cons2Options : TargetBuildOptions {
   // When true, new-ending paths are recorded per target vertex and classified
   // into the paper's five classes (Fig. 7); counts land in stats.classes.
   bool classify_paths = true;
@@ -42,20 +46,6 @@ struct Cons2Options {
   std::function<void(Vertex v, const Path& pi,
                      const std::vector<NewEndingRecord>& records)>
       record_sink;
-  // Worker threads for the per-target loop; 0 = auto (hardware), 1 =
-  // sequential. Targets are speculated in parallel against a frozen H and
-  // committed in target order, with conflicted targets (an earlier commit
-  // added an edge incident to them — the only state a target can observe)
-  // re-run sequentially, so the structure and every stats field are
-  // byte-identical at any value (build_parallel.h).
-  unsigned jobs = 1;
-  // Optional: incremented once per target vertex as its construction work
-  // finishes (speculation in the parallel schedule, commit sequentially).
-  // Lets long builds report throughput without block-commit quantization
-  // (the bench_e13 n=10^5 jobs sweep samples it from a forked child).
-  std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: filled with the parallel schedule actually used.
-  ParallelBuildReport* parallel_report = nullptr;
 };
 
 // Builds a dual-failure FT-BFS structure rooted at s. Vertices unreachable

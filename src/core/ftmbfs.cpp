@@ -1,49 +1,49 @@
 #include "core/ftmbfs.h"
 
+#include <algorithm>
+
 #include "core/cons2ftbfs.h"
 #include "core/single_ftbfs.h"
 
 namespace ftbfs {
 namespace {
 
-template <typename BuildOne>
+// The union of per-source cons2ftbfs (`dual`) or single_ftbfs structures.
 FtMbfsResult build_union(const Graph& g, std::span<const Vertex> sources,
-                         BuildOne&& build_one) {
+                         const FtMbfsOptions& opt, bool dual) {
   FTBFS_EXPECTS(!sources.empty());
+  Cons2Options one;  // cons2's options extend single's
+  one.weight_seed = opt.weight_seed;
+  one.jobs = opt.jobs;
+  one.classify_paths = false;
+  ParallelBuildReport inner;
+  one.parallel_report = &inner;
+  ParallelBuildReport agg;
   FtMbfsResult out;
   std::vector<bool> in_h(g.num_edges(), false);
   for (const Vertex s : sources) {
-    const FtStructure h = build_one(s);
+    const FtStructure h =
+        dual ? build_cons2ftbfs(g, s, one) : build_single_ftbfs(g, s, one);
     out.per_source_size.push_back(h.edges.size());
-    for (const EdgeId e : h.edges) {
-      if (!in_h[e]) {
-        in_h[e] = true;
-      }
-    }
+    for (const EdgeId e : h.edges) in_h[e] = true;
     // Aggregate stats: sums are meaningful across sources; maxima are maxed.
-    out.structure.stats.new_edges += h.stats.new_edges;
-    out.structure.stats.tree_edges += h.stats.tree_edges;
-    out.structure.stats.fault_pairs_considered +=
-        h.stats.fault_pairs_considered;
-    out.structure.stats.dijkstra_runs += h.stats.dijkstra_runs;
-    out.structure.stats.divergence_fallbacks += h.stats.divergence_fallbacks;
-    out.structure.stats.max_new_per_vertex =
-        std::max(out.structure.stats.max_new_per_vertex,
-                 h.stats.max_new_per_vertex);
+    FtBfsStats& stats = out.structure.stats;
+    stats.new_edges += h.stats.new_edges;
+    stats.tree_edges += h.stats.tree_edges;
+    stats.fault_pairs_considered += h.stats.fault_pairs_considered;
+    stats.dijkstra_runs += h.stats.dijkstra_runs;
+    stats.divergence_fallbacks += h.stats.divergence_fallbacks;
+    stats.max_new_per_vertex =
+        std::max(stats.max_new_per_vertex, h.stats.max_new_per_vertex);
+    agg.workers = std::max(agg.workers, inner.workers);
+    agg.blocks += inner.blocks;
+    agg.conflicts += inner.conflicts;
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) out.structure.edges.push_back(e);
   }
+  if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
   return out;
-}
-
-// Folds one per-source schedule into the union's aggregate: workers is the
-// largest crew any source used, the work counters sum.
-void merge_report(ParallelBuildReport& agg, const ParallelBuildReport& one) {
-  agg.workers = std::max(agg.workers, one.workers);
-  agg.blocks += one.blocks;
-  agg.speculated += one.speculated;
-  agg.conflicts += one.conflicts;
 }
 
 }  // namespace
@@ -51,40 +51,13 @@ void merge_report(ParallelBuildReport& agg, const ParallelBuildReport& one) {
 FtMbfsResult build_cons2ftmbfs(const Graph& g,
                                std::span<const Vertex> sources,
                                const FtMbfsOptions& opt) {
-  Cons2Options one;
-  one.weight_seed = opt.weight_seed;
-  one.classify_paths = false;
-  one.jobs = opt.jobs;
-  one.progress = opt.progress;
-  ParallelBuildReport agg;
-  ParallelBuildReport inner;
-  one.parallel_report = &inner;
-  FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
-    FtStructure h = build_cons2ftbfs(g, s, one);
-    merge_report(agg, inner);
-    return h;
-  });
-  if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
-  return out;
+  return build_union(g, sources, opt, /*dual=*/true);
 }
 
 FtMbfsResult build_single_ftmbfs(const Graph& g,
                                  std::span<const Vertex> sources,
                                  const FtMbfsOptions& opt) {
-  SingleFtbfsOptions one;
-  one.weight_seed = opt.weight_seed;
-  one.jobs = opt.jobs;
-  one.progress = opt.progress;
-  ParallelBuildReport agg;
-  ParallelBuildReport inner;
-  one.parallel_report = &inner;
-  FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
-    FtStructure h = build_single_ftbfs(g, s, one);
-    merge_report(agg, inner);
-    return h;
-  });
-  if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
-  return out;
+  return build_union(g, sources, opt, /*dual=*/false);
 }
 
 }  // namespace ftbfs

@@ -6,7 +6,6 @@
 // closer on benign inputs (shared edges collapse in the union).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -16,19 +15,12 @@
 
 namespace ftbfs {
 
-struct FtMbfsOptions {
-  std::uint64_t weight_seed = 1;
-  // Worker threads forwarded into each per-source build; the outer union loop
-  // stays sequential in source order, so the union is byte-identical at any
-  // job count (each inner build already is — single_ftbfs.h / cons2ftbfs.h).
-  unsigned jobs = 1;
-  // Optional: incremented once per finished target vertex across all
-  // per-source builds (single_ftbfs.h semantics).
-  std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: the schedules of the per-source builds, aggregated — workers is
-  // the maximum crew used, blocks/speculated/conflicts are summed.
-  ParallelBuildReport* parallel_report = nullptr;
-};
+// Seed of W, jobs and report (build_parallel.h), forwarded into each
+// per-source build. The outer union loop stays sequential in source order, so
+// the union is byte-identical at any job count (each inner build already is).
+// The report aggregates the per-source schedules: workers is the largest crew
+// any source used, blocks and conflicts are summed.
+using FtMbfsOptions = ConstructionOptions;
 
 struct FtMbfsResult {
   FtStructure structure;       // the union

@@ -4,11 +4,11 @@
 #include <optional>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/selector.h"
 #include "spath/path.h"
-#include "spath/weights.h"
 
 namespace ftbfs {
 namespace {
@@ -25,6 +25,13 @@ struct FaultSetHash {
   }
 };
 
+// What one target's chains contribute.
+struct ChainOutcome {
+  std::vector<EdgeId> last_edges;  // distinct last edges of the chains' paths
+  std::uint64_t chains = 0;
+  bool truncated = false;  // the chain cap stopped the enumeration
+};
+
 // Enumerates the fault chains of one target v. Each successive fault lies on
 // the current replacement path: any of its edges for edge faults, any of its
 // *interior* vertices for vertex faults (s and the target are never faulted —
@@ -35,34 +42,23 @@ class ChainEnumerator {
   using Fault = std::conditional_t<kVertexFaults, Vertex, EdgeId>;
 
   ChainEnumerator(PathSelector& sel, Vertex s, Vertex v, unsigned f,
-                  std::uint64_t cap, std::vector<bool>& in_h,
-                  FtBfsStats& stats, KFailStats& kstats)
-      : sel_(sel),
-        s_(s),
-        v_(v),
-        f_(f),
-        cap_(cap),
-        in_h_(in_h),
-        stats_(stats),
-        kstats_(kstats) {}
+                  std::uint64_t cap)
+      : sel_(sel), s_(s), v_(v), f_(f), cap_(cap) {}
 
-  std::uint64_t run() {
+  ChainOutcome run() {
     std::vector<Fault> empty;
     recurse(empty, 0);
-    if (truncated_) ++kstats_.chain_cap_hits;
-    return new_edges_;
+    return std::move(out_);
   }
 
  private:
   void recurse(std::vector<Fault>& faults, unsigned depth) {
-    if (truncated_) return;
-    if (budget_used_ >= cap_) {
-      truncated_ = true;
+    if (out_.truncated) return;
+    if (out_.chains >= cap_) {
+      out_.truncated = true;
       return;
     }
-    ++budget_used_;
-    ++kstats_.chains_enumerated;
-    ++stats_.fault_pairs_considered;
+    ++out_.chains;
 
     // Deduplicate fault sets reachable through different chain orders.
     std::vector<Fault> key = faults;
@@ -79,11 +75,11 @@ class ChainEnumerator {
     const std::optional<RPath> rp = sel_.w_path(s_, v_);
     if (!rp) return;  // v disconnected under these faults: nothing to keep
     const Graph& g = sel_.graph();
+    // Last edges are v-incident, so the list stays within v's degree.
     const EdgeId le = last_edge(g, rp->verts);
-    if (!in_h_[le]) {
-      in_h_[le] = true;
-      ++stats_.new_edges;
-      ++new_edges_;
+    if (std::find(out_.last_edges.begin(), out_.last_edges.end(), le) ==
+        out_.last_edges.end()) {
+      out_.last_edges.push_back(le);
     }
     if (depth == f_) return;
 
@@ -106,49 +102,30 @@ class ChainEnumerator {
   Vertex v_;
   unsigned f_;
   std::uint64_t cap_;
-  std::vector<bool>& in_h_;
-  FtBfsStats& stats_;
-  KFailStats& kstats_;
 
   std::unordered_set<std::vector<Fault>, FaultSetHash> seen_;
-  std::uint64_t budget_used_ = 0;
-  std::uint64_t new_edges_ = 0;
-  bool truncated_ = false;
+  ChainOutcome out_;
 };
 
 template <bool kVertexFaults>
 KFailResult build_kfail_generic(const Graph& g, Vertex s, unsigned f,
                                 const KFailOptions& opt) {
-  FTBFS_EXPECTS(s < g.num_vertices());
-  const WeightAssignment w(g, opt.weight_seed);
-  PathSelector sel(g, w);
-
+  TargetBuild build(g, s, opt);
   KFailResult out;
-  std::vector<bool> in_h(g.num_edges(), false);
-
-  sel.mask().clear();
-  const SpResult tree = sel.w_sssp(s);
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (v != s && tree.reached(v) && !in_h[tree.parent_edge[v]]) {
-      in_h[tree.parent_edge[v]] = true;
-      ++out.structure.stats.tree_edges;
-    }
-  }
-
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (v == s || !tree.reached(v)) continue;
-    ChainEnumerator<kVertexFaults> chain(sel, s, v, f,
-                                         opt.max_chains_per_vertex, in_h,
-                                         out.structure.stats, out.kstats);
-    const std::uint64_t new_here = chain.run();
-    out.structure.stats.max_new_per_vertex =
-        std::max(out.structure.stats.max_new_per_vertex, new_here);
-  }
-
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (in_h[e]) out.structure.edges.push_back(e);
-  }
-  out.structure.stats.dijkstra_runs = sel.dijkstra_runs();
+  out.structure = build.run(
+      [&](TargetWorkspace& ws, Vertex v) {
+        return ChainEnumerator<kVertexFaults>(ws.sel, s, v, f,
+                                              opt.max_chains_per_vertex)
+            .run();
+      },
+      [&](Vertex, ChainOutcome&& chain) {
+        std::uint64_t added = 0;
+        for (const EdgeId le : chain.last_edges) added += build.keep(le);
+        build.stats().fault_pairs_considered += chain.chains;
+        out.kstats.chains_enumerated += chain.chains;
+        out.kstats.chain_cap_hits += chain.truncated;
+        return added;
+      });
   return out;
 }
 

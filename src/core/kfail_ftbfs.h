@@ -17,13 +17,16 @@
 
 #include <cstdint>
 
+#include "core/build_parallel.h"
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
 
 namespace ftbfs {
 
-struct KFailOptions {
-  std::uint64_t weight_seed = 1;
+// Seed of W, jobs, progress and report (build_parallel.h), plus the chain
+// cap. A target's chains never read H, so the ordered commit replays the
+// sequential membership decisions exactly and no target is ever re-run.
+struct KFailOptions : TargetBuildOptions {
   // Safety valve: chains per target vertex grow like depth^f; construction
   // aborts the affected vertex's enumeration (and reports it) past this many
   // chains. Default is high enough for all library workloads.

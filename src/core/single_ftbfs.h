@@ -7,30 +7,16 @@
 // step (1) of Cons2FTBFS uses). Size: O(n^{3/2}), tight in the worst case.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-
 #include "core/build_parallel.h"
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
 
 namespace ftbfs {
 
-struct SingleFtbfsOptions {
-  std::uint64_t weight_seed = 1;  // seed for the tie-breaking assignment W
-  // Worker threads for the per-target loop; 0 = auto (hardware), 1 =
-  // sequential. The built structure and all stats are byte-identical at any
-  // value: candidate last edges never depend on H, so the ordered commit
-  // replays the sequential membership decisions exactly (build_parallel.h).
-  unsigned jobs = 1;
-  // Optional: incremented once per target vertex as its construction work
-  // finishes (speculation in the parallel schedule, commit sequentially).
-  // Lets long builds report throughput without block-commit quantization
-  // (the bench_e13 n=10^5 jobs sweep samples it from a forked child).
-  std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: filled with the parallel schedule actually used.
-  ParallelBuildReport* parallel_report = nullptr;
-};
+// Seed of W, jobs, progress and report (build_parallel.h). The candidate last
+// edges never depend on H, so the ordered commit replays the sequential
+// membership decisions exactly and no target is ever re-run.
+using SingleFtbfsOptions = TargetBuildOptions;
 
 // Builds a single-edge-failure FT-BFS structure rooted at s.
 // Requires s < g.num_vertices(). Unreachable vertices are simply not covered

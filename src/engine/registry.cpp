@@ -24,12 +24,18 @@ void add_parallel_counters(BuildResult& out, const ParallelBuildReport& r) {
   }
 }
 
-BuildResult build_single(const BuildRequest& req) {
-  SingleFtbfsOptions opt;
+// The request's seed and jobs, reporting the schedule into `report`.
+void set_schedule(ConstructionOptions& opt, const BuildRequest& req,
+                  ParallelBuildReport& report) {
   opt.weight_seed = req.weight_seed;
   opt.jobs = req.options.jobs;
-  ParallelBuildReport report;
   opt.parallel_report = &report;
+}
+
+BuildResult build_single(const BuildRequest& req) {
+  SingleFtbfsOptions opt;
+  ParallelBuildReport report;
+  set_schedule(opt, req, report);
   BuildResult out;
   out.structure = build_single_ftbfs(*req.graph, req.sources[0], opt);
   add_parallel_counters(out, report);
@@ -38,11 +44,9 @@ BuildResult build_single(const BuildRequest& req) {
 
 BuildResult build_cons2(const BuildRequest& req) {
   Cons2Options opt;
-  opt.weight_seed = req.weight_seed;
-  opt.classify_paths = req.collect_stats;
-  opt.jobs = req.options.jobs;
   ParallelBuildReport report;
-  opt.parallel_report = &report;
+  set_schedule(opt, req, report);
+  opt.classify_paths = req.collect_stats;
   BuildResult out;
   out.structure = build_cons2ftbfs(*req.graph, req.sources[0], opt);
   add_parallel_counters(out, report);
@@ -62,7 +66,8 @@ BuildResult build_cons2(const BuildRequest& req) {
 
 BuildResult build_kfail(const BuildRequest& req) {
   KFailOptions opt;
-  opt.weight_seed = req.weight_seed;
+  ParallelBuildReport report;
+  set_schedule(opt, req, report);
   KFailResult r =
       req.fault_model == FaultModel::kVertex
           ? build_kfail_ftbfs_vertex(*req.graph, req.sources[0],
@@ -71,6 +76,7 @@ BuildResult build_kfail(const BuildRequest& req) {
                               opt);
   BuildResult out;
   out.structure = std::move(r.structure);
+  add_parallel_counters(out, report);
   out.counters.emplace_back("chains_enumerated", r.kstats.chains_enumerated);
   out.counters.emplace_back("chain_cap_hits", r.kstats.chain_cap_hits);
   return out;
@@ -78,10 +84,8 @@ BuildResult build_kfail(const BuildRequest& req) {
 
 BuildResult build_ftmbfs(const BuildRequest& req) {
   FtMbfsOptions opt;
-  opt.weight_seed = req.weight_seed;
-  opt.jobs = req.options.jobs;
   ParallelBuildReport report;
-  opt.parallel_report = &report;
+  set_schedule(opt, req, report);
   FtMbfsResult r =
       req.fault_budget == 1
           ? build_single_ftmbfs(*req.graph, req.sources, opt)
@@ -144,6 +148,7 @@ BuilderRegistry make_default_registry() {
     t.summary = "f-failure chain construction (Obs 1.6), edge or vertex faults";
     t.aliases = {"kfail", "chains"};
     t.vertex_faults = true;
+    t.parallel_build = true;
     reg.add(std::move(t), &build_kfail);
   }
   {

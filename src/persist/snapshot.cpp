@@ -708,26 +708,21 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
     }
     s.crc = crc32(s.payload.bytes.data(), s.payload.bytes.size());
   };
-  const unsigned workers =
-      clamp_workers(jobs == 0 ? hardware_workers() : jobs, sections.size(),
-                    /*cap_to_hardware=*/jobs == 0);
-  if (workers <= 1) {
-    for (Section& s : sections) encode_section(s);
-  } else {
-    std::vector<std::thread> crew;
-    crew.reserve(workers - 1);
-    for (unsigned t = 1; t < workers; ++t) {
-      crew.emplace_back([&, t] {
-        for (std::size_t i = t; i < sections.size(); i += workers) {
-          encode_section(sections[i]);
-        }
-      });
-    }
-    for (std::size_t i = 0; i < sections.size(); i += workers) {
-      encode_section(sections[i]);
-    }
-    for (std::thread& th : crew) th.join();
+  // Worker 0 is this thread; at one worker the crew is empty.
+  const unsigned workers = resolve_jobs(jobs, sections.size());
+  std::vector<std::thread> crew;
+  crew.reserve(workers - 1);
+  for (unsigned t = 1; t < workers; ++t) {
+    crew.emplace_back([&, t] {
+      for (std::size_t i = t; i < sections.size(); i += workers) {
+        encode_section(sections[i]);
+      }
+    });
   }
+  for (std::size_t i = 0; i < sections.size(); i += workers) {
+    encode_section(sections[i]);
+  }
+  for (std::thread& th : crew) th.join();
 
   const GraphFingerprint fp = fingerprint_of(image.graph);
   std::vector<char> file;

@@ -10,17 +10,11 @@ unsigned hardware_workers() {
   return hardware == 0 ? 1u : hardware;
 }
 
-unsigned clamp_workers(unsigned requested, std::size_t work,
-                       bool cap_to_hardware) {
-  unsigned workers = std::max(1u, requested);
-  if (work < workers) workers = static_cast<unsigned>(std::max<std::size_t>(1, work));
-  if (cap_to_hardware) workers = std::min(workers, hardware_workers());
-  return workers;
-}
-
 unsigned resolve_jobs(unsigned jobs, std::size_t work) {
-  if (jobs == 0) return clamp_workers(hardware_workers(), work);
-  return clamp_workers(std::min(jobs, kMaxJobs), work, /*cap_to_hardware=*/false);
+  const unsigned requested =
+      jobs == 0 ? hardware_workers() : std::min(jobs, kMaxJobs);
+  return static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(requested, work)));
 }
 
 }  // namespace ftbfs

@@ -11,13 +11,6 @@ namespace ftbfs {
 // std::thread::hardware_concurrency() with its 0-means-unknown fallback to 1.
 [[nodiscard]] unsigned hardware_workers();
 
-// The shared worker-count clamp: max(1, min(requested, work, hardware)).
-// `cap_to_hardware = false` drops the hardware term for callers that
-// intentionally oversubscribe — explicit --jobs requests, whose determinism
-// tests must exercise real interleavings even on small machines.
-[[nodiscard]] unsigned clamp_workers(unsigned requested, std::size_t work,
-                                     bool cap_to_hardware = true);
-
 // Sanity ceiling for an explicit --jobs request.
 inline constexpr unsigned kMaxJobs = 256;
 

@@ -14,6 +14,8 @@
 
 #include "core/build_parallel.h"
 #include "core/cons2ftbfs.h"
+#include "core/kfail_ftbfs.h"
+#include "core/single_ftbfs.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
 #include "service/oracle_service.h"
@@ -117,18 +119,32 @@ TEST(ParallelBuild, AutoJobsMatchesSequential) {
   expect_same_stats(base.structure.stats, auto_built.structure.stats, "auto");
 }
 
-// The progress counter counts every target exactly once at any job count.
+// The progress counter counts every target exactly once at any job count, in
+// every construction on the per-target schedule.
 TEST(ParallelBuild, ProgressCountsEveryTargetOnce) {
   const Graph g = random_connected(100, 300, 5);
   for (const unsigned jobs : {1u, 4u}) {
+    const std::string run = "jobs=" + std::to_string(jobs);
     std::atomic<std::uint64_t> progress{0};
-    Cons2Options opt;
-    opt.jobs = jobs;
-    opt.progress = &progress;
-    const FtStructure h = build_cons2ftbfs(g, 0, opt);
-    EXPECT_GT(h.stats.tree_edges, 0u);
+    Cons2Options cons2;
+    cons2.jobs = jobs;
+    cons2.progress = &progress;
+    EXPECT_GT(build_cons2ftbfs(g, 0, cons2).stats.tree_edges, 0u);
     // Every vertex reachable from 0 except the source itself is a target.
-    EXPECT_EQ(progress.load(), g.num_vertices() - 1) << "jobs=" << jobs;
+    EXPECT_EQ(progress.exchange(0), g.num_vertices() - 1) << "cons2 " << run;
+
+    SingleFtbfsOptions single;
+    single.jobs = jobs;
+    single.progress = &progress;
+    EXPECT_GT(build_single_ftbfs(g, 0, single).stats.tree_edges, 0u);
+    EXPECT_EQ(progress.exchange(0), g.num_vertices() - 1) << "single " << run;
+
+    KFailOptions kfail;
+    kfail.jobs = jobs;
+    kfail.progress = &progress;
+    EXPECT_GT(build_kfail_ftbfs(g, 0, 2, kfail).structure.stats.tree_edges,
+              0u);
+    EXPECT_EQ(progress.exchange(0), g.num_vertices() - 1) << "kfail " << run;
   }
 }
 
@@ -213,25 +229,29 @@ TEST(ParallelBuild, ConcurrentPoolBuildsWithParallelJobs) {
 
 TEST(ParallelBuild, RunSpeculateCommitCoversEveryIndexInOrder) {
   constexpr std::size_t kCount = 1000;
-  const unsigned workers = 3;
-  const std::size_t block = speculative_block_size(workers);
-  std::vector<int> speculated(kCount, 0);
-  std::vector<std::size_t> committed;
-  ParallelBuildReport report;
-  run_speculate_commit(
-      kCount, workers, /*on_block_start=*/[] {},
-      [&](unsigned, std::size_t idx, std::size_t slot) {
-        ASSERT_LT(slot, block);
-        speculated[idx]++;
-      },
-      [&](std::size_t idx, std::size_t) { committed.push_back(idx); },
-      &report);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(speculated[i], 1) << i;           // exactly once
-    EXPECT_EQ(committed[i], i);                 // in order
+  for (const unsigned workers : {1u, 3u}) {
+    const std::size_t block = speculative_block_size(workers);
+    std::vector<int> speculated(kCount, 0);
+    std::vector<std::size_t> committed;
+    ParallelBuildReport report;
+    run_speculate_commit(
+        kCount, workers, /*on_block_start=*/[] {},
+        [&](unsigned, std::size_t idx, std::size_t slot) {
+          ASSERT_LT(slot, block);
+          speculated[idx]++;
+        },
+        [&](std::size_t idx, std::size_t) { committed.push_back(idx); },
+        &report);
+    ASSERT_EQ(committed.size(), kCount) << "workers=" << workers;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(speculated[i], 1) << i;  // exactly once
+      EXPECT_EQ(committed[i], i);        // in order
+    }
+    EXPECT_EQ(report.workers, workers);
+    EXPECT_EQ(report.blocks, (kCount + block - 1) / block);
   }
-  EXPECT_EQ(report.speculated, kCount);
-  EXPECT_GE(report.blocks, kCount / block);
+  // One worker: every block is one target, committed straight away.
+  EXPECT_EQ(speculative_block_size(1), 1u);
 }
 
 TEST(ParallelBuild, ResolveJobsPolicy) {

@@ -4,7 +4,9 @@
 // selector that answered each distance test with a full-graph BFS and each
 // path selection with a full Dijkstra; the pair search (spath/bidir.h) must
 // reproduce them exactly, at one job and at four. The f-failure rows were
-// recorded when every fault chain's path came from a full Dijkstra too.
+// recorded when every fault chain's path came from a full Dijkstra too, and
+// when the chain construction had no parallel schedule; they hold at one job
+// and at four.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -236,9 +238,45 @@ TEST(PinnedStructures, SingleSourceBuildsMatchRecordedOutput) {
         ASSERT_EQ(algo, "single_ftbfs");
         SingleFtbfsOptions opt;
         opt.jobs = jobs;
+        ParallelBuildReport report;
+        opt.parallel_report = &report;
         expect_pin(pin, build_single_ftbfs(g, 0, opt), run);
+        // Candidates never depend on H: no target is ever re-run.
+        EXPECT_EQ(report.conflicts, 0u) << algo << " on " << pin.family;
       }
     }
+  }
+}
+
+struct SchedulePin {
+  const char* family;
+  unsigned jobs;
+  std::uint64_t blocks;
+  std::uint64_t conflicts;
+};
+
+// cons2ftbfs's speculate-and-commit schedule, recorded before the sequential
+// loop became one-target blocks of the same schedule.
+const SchedulePin kCons2Schedule[] = {
+    {"sparse", 2, 3, 39},
+    {"sparse", 4, 2, 55},
+    {"sparse400", 2, 7, 40},
+    {"sparse400", 4, 4, 76},
+};
+
+TEST(PinnedStructures, Cons2ScheduleMatchesRecordedCounts) {
+  for (const SchedulePin& sp : kCons2Schedule) {
+    const Graph g = make_family(sp.family);
+    Cons2Options opt;
+    opt.jobs = sp.jobs;
+    ParallelBuildReport report;
+    opt.parallel_report = &report;
+    const FtStructure h = build_cons2ftbfs(g, 0, opt);
+    const std::string label =
+        std::string(sp.family) + " jobs=" + std::to_string(sp.jobs);
+    EXPECT_EQ(report.workers, sp.jobs) << label;
+    EXPECT_EQ(report.blocks, sp.blocks) << label;
+    EXPECT_EQ(report.conflicts, sp.conflicts) << label;
   }
 }
 
@@ -261,17 +299,26 @@ TEST(PinnedStructures, MultiSourceBuildsMatchRecordedOutput) {
 }
 
 TEST(PinnedStructures, KFailBuildsMatchRecordedOutput) {
-  for (const KFailPin& kp : kKFail) {
-    const Graph g = make_family(kp.pin.family);
-    const std::string algo = kp.pin.algo;
-    const KFailResult r = algo == "kfail_ftbfs"
-                              ? build_kfail_ftbfs(g, 0, kp.f)
-                              : build_kfail_ftbfs_vertex(g, 0, kp.f);
-    const std::string run = "f=" + std::to_string(kp.f);
-    expect_pin(kp.pin, r.structure, run);
-    const std::string label = algo + " on " + kp.pin.family + " " + run;
-    EXPECT_EQ(r.kstats.chains_enumerated, kp.chains_enumerated) << label;
-    EXPECT_EQ(r.kstats.chain_cap_hits, kp.chain_cap_hits) << label;
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const KFailPin& kp : kKFail) {
+      const Graph g = make_family(kp.pin.family);
+      const std::string algo = kp.pin.algo;
+      KFailOptions opt;
+      opt.jobs = jobs;
+      ParallelBuildReport report;
+      opt.parallel_report = &report;
+      const KFailResult r = algo == "kfail_ftbfs"
+                                ? build_kfail_ftbfs(g, 0, kp.f, opt)
+                                : build_kfail_ftbfs_vertex(g, 0, kp.f, opt);
+      const std::string run =
+          "f=" + std::to_string(kp.f) + " jobs=" + std::to_string(jobs);
+      expect_pin(kp.pin, r.structure, run);
+      const std::string label = algo + " on " + kp.pin.family + " " + run;
+      EXPECT_EQ(r.kstats.chains_enumerated, kp.chains_enumerated) << label;
+      EXPECT_EQ(r.kstats.chain_cap_hits, kp.chain_cap_hits) << label;
+      // Chains never read H: no target is ever re-run.
+      EXPECT_EQ(report.conflicts, 0u) << label;
+    }
   }
 }
 
