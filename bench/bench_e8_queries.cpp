@@ -3,10 +3,9 @@
 // graph exactly; the structure is a fraction of G's size and queries on it
 // are proportionally cheaper. All query paths go through the engine layer:
 // the sequential column runs one full-BFS query per fault set (the seed's
-// query path), the batched column runs the same workload through
-// FaultQueryEngine::batch — one early-exit BFS per fault set over a fixed
-// target list — and the service column serves the same sweep through
-// OracleService, whose scenario cache interns canonicalized fault sets. The
+// query path), the delta column runs the same workload through the engine's
+// fast/repair/full tiers, and the service column serves the same sweep
+// through OracleService, whose scenario cache interns canonicalized fault sets. The
 // workload is a *repeated-scenario sweep* (each fault set drawn from a small
 // pool, ~87% duplicates) — the shape a monitoring dashboard or the failure
 // simulator generates — so cached scenarios cost a lookup instead of a BFS.
@@ -174,8 +173,8 @@ int main(int argc, char** argv) {
 
   Table table("E8: repeated-scenario query sweep under fault injection");
   table.set_header({"family", "n", "|H|/m", "queries", "dup%", "mm", "us/q G",
-                    "us/q full", "us/q dlt", "us/q batch", "us/q svc", "hit%",
-                    "dlt x", "batch x", "svc x", "sf x", "pq x", "B/ln shr"});
+                    "us/q full", "us/q dlt", "us/q svc", "hit%", "dlt x",
+                    "svc x", "sf x", "pq x", "B/ln shr"});
   std::string families_json;
 
   const std::vector<Vertex> sizes =
@@ -200,6 +199,10 @@ int main(int argc, char** argv) {
       FaultQueryEngine h_engine(g, built.structure);
       h_engine.set_delta_options({.enabled = false});
       FaultQueryEngine d_engine(g, built.structure);
+      // One scratch lease per engine, taken before any timer starts.
+      auto g_lease = g_engine.acquire_scratch();
+      auto h_lease = h_engine.acquire_scratch();
+      auto d_lease = d_engine.acquire_scratch();
 
       // Workload: `queries` fault sets of 0-2 edges drawn from a pool of
       // `unique` distinct scenarios (so ~7/8 of the sweep repeats an earlier
@@ -236,7 +239,7 @@ int main(int argc, char** argv) {
       std::vector<std::uint32_t> truth(queries * targets.size());
       Timer tg;
       for (int q = 0; q < queries; ++q) {
-        const auto& hops = g_engine.all_distances(0, fault_sets[q]);
+        const auto& hops = g_engine.all_distances(g_lease, 0, fault_sets[q]);
         for (std::size_t j = 0; j < targets.size(); ++j) {
           truth[q * targets.size() + j] = hops[targets[j]];
         }
@@ -246,7 +249,7 @@ int main(int argc, char** argv) {
       std::vector<std::uint32_t> seq(queries * targets.size());
       Timer th;
       for (int q = 0; q < queries; ++q) {
-        const auto& hops = h_engine.all_distances(0, fault_sets[q]);
+        const auto& hops = h_engine.all_distances(h_lease, 0, fault_sets[q]);
         for (std::size_t j = 0; j < targets.size(); ++j) {
           seq[q * targets.size() + j] = hops[targets[j]];
         }
@@ -258,7 +261,7 @@ int main(int argc, char** argv) {
       std::vector<std::uint32_t> dlt(queries * targets.size());
       Timer td;
       for (int q = 0; q < queries; ++q) {
-        const auto& hops = d_engine.all_distances(0, fault_sets[q]);
+        const auto& hops = d_engine.all_distances(d_lease, 0, fault_sets[q]);
         for (std::size_t j = 0; j < targets.size(); ++j) {
           dlt[q * targets.size() + j] = hops[targets[j]];
         }
@@ -276,13 +279,13 @@ int main(int argc, char** argv) {
       Timer tsf_full;
       for (int q = 0; q < sf_queries; ++q) {
         const std::span<const EdgeId> one(&sf_edges[q], 1);
-        (void)h_engine.all_distances(0, edge_faults(one));
+        (void)h_engine.all_distances(h_lease, 0, edge_faults(one));
       }
       const double sf_full_time = tsf_full.seconds();
       Timer tsf_delta;
       for (int q = 0; q < sf_queries; ++q) {
         const std::span<const EdgeId> one(&sf_edges[q], 1);
-        (void)d_engine.all_distances(0, edge_faults(one));
+        (void)d_engine.all_distances(d_lease, 0, edge_faults(one));
       }
       const double sf_delta_time = tsf_delta.seconds();
 
@@ -304,27 +307,30 @@ int main(int argc, char** argv) {
       Timer tpq_full;
       for (std::size_t q = 0; q < pq_faults.size(); ++q) {
         const std::span<const EdgeId> one(&pq_faults[q], 1);
-        (void)h_engine.shortest_path(0, pq_targets[q], edge_faults(one));
+        (void)h_engine.shortest_path(h_lease, 0, pq_targets[q],
+                                      edge_faults(one));
       }
       const double pq_full_time = tpq_full.seconds();
       Timer tpq_delta;
       for (std::size_t q = 0; q < pq_faults.size(); ++q) {
         const std::span<const EdgeId> one(&pq_faults[q], 1);
-        (void)d_engine.shortest_path(0, pq_targets[q], edge_faults(one));
+        (void)d_engine.shortest_path(d_lease, 0, pq_targets[q],
+                                      edge_faults(one));
       }
       const double pq_delta_time = tpq_delta.seconds();
 
       // Counter snapshot here so the JSON attributes fast/repair/full to
       // exactly the three timed delta workloads above (repeated sweep,
       // single-fault, parent-query) — not to the untimed verification loops
-      // below or the batch sweep.
+      // below.
       const FaultQueryEngine::PathStats paths = d_engine.path_stats();
 
       // Untimed verification. Single-fault: bit-identical distance vectors.
       for (int q = 0; q < sf_queries; ++q) {
         const std::span<const EdgeId> one(&sf_edges[q], 1);
-        const auto& full_hops = h_engine.all_distances(0, edge_faults(one));
-        if (full_hops != d_engine.all_distances(0, edge_faults(one))) {
+        const auto& full_hops =
+            h_engine.all_distances(h_lease, 0, edge_faults(one));
+        if (full_hops != d_engine.all_distances(d_lease, 0, edge_faults(one))) {
           ++sf_mismatches;
         }
       }
@@ -333,22 +339,15 @@ int main(int argc, char** argv) {
       std::uint64_t pq_mismatches = 0;
       for (std::size_t q = 0; q < pq_faults.size(); ++q) {
         const std::span<const EdgeId> one(&pq_faults[q], 1);
-        const auto fp = h_engine.shortest_path(0, pq_targets[q],
+        const auto fp = h_engine.shortest_path(h_lease, 0, pq_targets[q],
                                                edge_faults(one));
-        const auto dp = d_engine.shortest_path(0, pq_targets[q],
+        const auto dp = d_engine.shortest_path(d_lease, 0, pq_targets[q],
                                                edge_faults(one));
         if (fp.has_value() != dp.has_value() ||
             (fp.has_value() && fp->size() != dp->size())) {
           ++pq_mismatches;
         }
       }
-
-      // The batched path: one call, early-exit BFS per fault set (delta
-      // classification per row — the production batch path).
-      Timer tb;
-      const std::vector<std::uint32_t> batched =
-          d_engine.batch(0, fault_sets, targets);
-      const double b_time = tb.seconds();
 
       // The service path: typed requests against an OracleService whose pool
       // holds the same structure; repeated scenarios hit the LRU cache.
@@ -382,13 +381,12 @@ int main(int argc, char** argv) {
       const double line_shrink =
           bytes_per_line_full / std::max(bytes_per_line_delta, 1.0);
 
-      // Correctness cross-check, untimed: the sequential, delta, batched,
-      // and service matrices against ground truth.
+      // Correctness cross-check, untimed: the sequential, delta and service
+      // matrices against ground truth.
       std::uint64_t mismatches = sf_mismatches + pq_mismatches;
       for (std::size_t i = 0; i < truth.size(); ++i) {
         if (seq[i] != truth[i]) ++mismatches;
         if (dlt[i] != truth[i]) ++mismatches;
-        if (batched[i] != truth[i]) ++mismatches;
         if (served[i] != truth[i]) ++mismatches;
       }
 
@@ -406,11 +404,9 @@ int main(int argc, char** argv) {
            fmt_double(1e6 * g_time / queries, 1),
            fmt_double(1e6 * h_time / queries, 1),
            fmt_double(1e6 * d_time / queries, 1),
-           fmt_double(1e6 * b_time / queries, 1),
            fmt_double(1e6 * s_time / queries, 1),
            fmt_double(100.0 * hit_rate, 0),
            fmt_double(delta_speedup, 2),
-           fmt_double(h_time / std::max(b_time, 1e-12), 2),
            fmt_double(h_time / std::max(s_time, 1e-12), 2),
            fmt_double(sf_speedup, 2),
            fmt_double(pq_speedup, 2),
@@ -495,11 +491,12 @@ int main(int argc, char** argv) {
 
   // Ground truth per workload, computed once on the identity engine.
   FaultQueryEngine g_engine(g);
+  auto g_lease = g_engine.acquire_scratch();
   auto truth_for = [&](const std::vector<QueryRequest>& reqs) {
     std::vector<std::uint32_t> truth(reqs.size() * cols);
     for (std::size_t q = 0; q < reqs.size(); ++q) {
       const auto& hops =
-          g_engine.all_distances(0, edge_faults(reqs[q].fault_edges));
+          g_engine.all_distances(g_lease, 0, edge_faults(reqs[q].fault_edges));
       for (std::size_t j = 0; j < cols; ++j) {
         truth[q * cols + j] = hops[targets[j]];
       }
@@ -591,10 +588,11 @@ int main(int argc, char** argv) {
     scale_reqs[q].fault_edges = scale_pool[scale_pick[q]];
   }
   FaultQueryEngine sg_engine(sg);
+  auto sg_lease = sg_engine.acquire_scratch();
   std::vector<std::vector<std::uint32_t>> pool_truth(scale_unique);
   for (int e = 0; e < scale_unique; ++e) {
     const auto& hops =
-        sg_engine.all_distances(0, edge_faults(scale_pool[e]));
+        sg_engine.all_distances(sg_lease, 0, edge_faults(scale_pool[e]));
     pool_truth[e].resize(cols);
     for (std::size_t j = 0; j < cols; ++j) {
       pool_truth[e][j] = hops[scale_targets[j]];

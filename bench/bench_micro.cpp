@@ -140,9 +140,9 @@ void BM_SwapFtbfs(benchmark::State& state) {
 }
 BENCHMARK(BM_SwapFtbfs)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// One dual-fault scenario over every vertex, batched on the engine of the
-// registry's default f=2 structure.
-void BM_StructureBatch(benchmark::State& state) {
+// One dual-fault all-distances query on the engine of the registry's default
+// f=2 structure.
+void BM_StructureAllDistances(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = random_connected(n, 3 * n, 1);
   BuildRequest req;
@@ -152,15 +152,14 @@ void BM_StructureBatch(benchmark::State& state) {
   const BuildResult h = BuilderRegistry::instance().build(
       BuilderRegistry::default_builder(2), req);
   FaultQueryEngine engine(g, h.structure);
+  auto lease = engine.acquire_scratch();
   const std::vector<EdgeId> faults = {1, 7};
-  const std::vector<FaultSpec> fault_sets = {edge_faults(faults)};
-  std::vector<Vertex> targets(n);
-  for (Vertex v = 0; v < n; ++v) targets[v] = v;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.batch(0, fault_sets, targets).data());
+    benchmark::DoNotOptimize(
+        engine.all_distances(lease, 0, edge_faults(faults)).data());
   }
 }
-BENCHMARK(BM_StructureBatch)->Arg(1024);
+BENCHMARK(BM_StructureAllDistances)->Arg(1024);
 
 // --- delta-vs-full query sweep ----------------------------------------------
 //
@@ -179,6 +178,7 @@ void query_sweep(benchmark::State& state, bool delta) {
   const Graph g = random_connected(n, 3 * n, 1);
   FaultQueryEngine engine(g);
   engine.set_delta_options({.enabled = delta});
+  auto lease = engine.acquire_scratch();
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   std::vector<EdgeId> faults(k);
@@ -187,7 +187,7 @@ void query_sweep(benchmark::State& state, bool delta) {
       faults[i] = static_cast<EdgeId>(rng.next_below(g.num_edges()));
     }
     benchmark::DoNotOptimize(
-        engine.all_distances(0, edge_faults(faults)).data());
+        engine.all_distances(lease, 0, edge_faults(faults)).data());
   }
   const FaultQueryEngine::PathStats stats = engine.path_stats();
   state.counters["fast"] = static_cast<double>(stats.fast_path_hits);
@@ -228,12 +228,13 @@ void repair_by_subtree(benchmark::State& state, bool delta) {
   const Graph g = path_with_chords(n, n / 4, 3);
   FaultQueryEngine engine(g);
   engine.set_delta_options({.enabled = delta, .max_affected_fraction = 1.0});
+  auto lease = engine.acquire_scratch();
   const EdgeId fault = tree_edge_with_subtree_fraction(
       g, static_cast<double>(state.range(0)) / 100.0);
   const EdgeId faults[1] = {fault};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.all_distances(0, edge_faults(faults)).data());
+        engine.all_distances(lease, 0, edge_faults(faults)).data());
   }
   state.SetLabel("subtree ~" + std::to_string(state.range(0)) + "% of n");
 }
@@ -259,13 +260,14 @@ void parent_query_by_subtree(benchmark::State& state, bool delta) {
   const Graph g = path_with_chords(n, n / 4, 3);
   FaultQueryEngine engine(g);
   engine.set_delta_options({.enabled = delta, .max_affected_fraction = 1.0});
+  auto lease = engine.acquire_scratch();
   const EdgeId fault = tree_edge_with_subtree_fraction(
       g, static_cast<double>(state.range(0)) / 100.0);
   const EdgeId faults[1] = {fault};
   Vertex target = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.shortest_path(0, target, edge_faults(faults)));
+        engine.shortest_path(lease, 0, target, edge_faults(faults)));
     target = 1 + (target + 97) % (n - 1);
   }
   state.SetLabel("subtree ~" + std::to_string(state.range(0)) + "% of n");

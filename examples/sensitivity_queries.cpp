@@ -79,6 +79,7 @@ int main() {
   // Spot-check the service and the point oracle against an independent
   // implementation: a masked BFS over the full graph per scenario.
   FaultQueryEngine ground_truth(g);
+  auto lease = ground_truth.acquire_scratch();
   std::uint64_t agree = 0, checked = 0;
   for (EdgeId e = 0; e < g.num_edges(); e += 17) {
     req.fault_edges = {e};
@@ -86,7 +87,7 @@ int main() {
     const FaultSpec fault = edge_faults(req.fault_edges);
     for (std::size_t j = 0; j < targets.size(); ++j) {
       const std::uint32_t truth =
-          ground_truth.distance(noc, targets[j], fault);
+          ground_truth.distance(lease, noc, targets[j], fault);
       checked += 2;
       agree += (resp.distances[j] == truth) +
                (point.distance_avoiding(targets[j], e) == truth);

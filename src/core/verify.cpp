@@ -12,11 +12,15 @@ namespace {
 // Shared machinery: compares dist(s,·) in G∖F vs H∖F for one fault set. Both
 // sides are FaultQueryEngines — the identity engine serves ground truth from
 // G, the structure engine owns the g→H translation — so the verifier carries
-// no masked-BFS or translation scratch of its own.
+// no masked-BFS or translation scratch of its own, only one lease per engine.
 class Comparator {
  public:
   Comparator(const Graph& g, std::span<const EdgeId> h_edges)
-      : g_(g), g_engine_(g), h_engine_(g, h_edges) {}
+      : g_(g),
+        g_engine_(g),
+        h_engine_(g, h_edges),
+        g_lease_(g_engine_.acquire_scratch()),
+        h_lease_(h_engine_.acquire_scratch()) {}
 
   // Returns a violation for fault set `faults` (host ids), if any. The
   // violation's `faults` field is filled by the caller (it knows whether ids
@@ -24,8 +28,10 @@ class Comparator {
   std::optional<Violation> check(std::span<const Vertex> sources,
                                  const FaultSpec& faults) {
     for (const Vertex s : sources) {
-      const std::vector<std::uint32_t>& dg = g_engine_.all_distances(s, faults);
-      const std::vector<std::uint32_t>& dh = h_engine_.all_distances(s, faults);
+      const std::vector<std::uint32_t>& dg =
+          g_engine_.all_distances(g_lease_, s, faults);
+      const std::vector<std::uint32_t>& dh =
+          h_engine_.all_distances(h_lease_, s, faults);
       for (Vertex v = 0; v < g_.num_vertices(); ++v) {
         if (dg[v] != dh[v]) {
           Violation viol;
@@ -40,13 +46,19 @@ class Comparator {
     return std::nullopt;
   }
 
+  // Ground-truth BFS tree in G ∖ faults, on the comparator's G lease.
+  const BfsResult& truth_tree(Vertex source, const FaultSpec& faults) {
+    return g_engine_.query(g_lease_, source, faults);
+  }
+
   [[nodiscard]] const Graph& g() const { return g_; }
-  [[nodiscard]] FaultQueryEngine& g_engine() { return g_engine_; }
 
  private:
   const Graph& g_;
   FaultQueryEngine g_engine_;
   FaultQueryEngine h_engine_;
+  FaultQueryEngine::ScratchLease g_lease_;
+  FaultQueryEngine::ScratchLease h_lease_;
 };
 
 std::optional<Violation> enumerate_faults(Comparator& cmp,
@@ -158,7 +170,7 @@ std::optional<Violation> verify_sampled(const Graph& g,
           sources[static_cast<std::size_t>(rng.next_below(sources.size()))];
       const Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
       for (unsigned step = 0; step < f; ++step) {
-        const BfsResult& r = cmp.g_engine().query(s, edge_faults(faults));
+        const BfsResult& r = cmp.truth_tree(s, edge_faults(faults));
         if (r.hops[v] == kInfHops || r.hops[v] == 0) break;
         // Walk parent pointers; pick a uniformly random edge of the path.
         std::vector<EdgeId> path_edges;

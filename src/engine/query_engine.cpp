@@ -28,22 +28,15 @@ FaultQueryEngine::FaultQueryEngine(const Graph& g,
       h_owned_(std::make_unique<Graph>(subgraph_from_edges(g, h_edges))),
       h_(h_owned_.get()),
       g_to_h_(g.num_edges(), kInvalidEdge),
-      pool_(std::make_unique<ScratchPool>()),
-      baselines_(std::make_unique<BaselineStore>()) {
+      shared_(std::make_unique<Shared>()) {
   // subgraph_from_edges assigns H edge ids in the order of h_edges.
   for (EdgeId i = 0; i < h_edges.size(); ++i) {
     g_to_h_[h_edges[i]] = i;
   }
-  pool_->slots.push_back(std::make_unique<Scratch>(*h_));
 }
 
 FaultQueryEngine::FaultQueryEngine(const Graph& g)
-    : g_(&g),
-      h_(&g),
-      pool_(std::make_unique<ScratchPool>()),
-      baselines_(std::make_unique<BaselineStore>()) {
-  pool_->slots.push_back(std::make_unique<Scratch>(*h_));
-}
+    : g_(&g), h_(&g), shared_(std::make_unique<Shared>()) {}
 
 FaultQueryEngine::Baseline::Baseline(const Graph& h, BfsResult t,
                                      std::span<const Vertex> visit_order,
@@ -59,41 +52,6 @@ FaultQueryEngine::Baseline::Baseline(const Graph& h, BfsResult t,
   for (std::uint32_t i = 0; i < visit_order.size(); ++i) {
     rank[visit_order[i]] = i;
   }
-}
-
-// h_ points at h_owned_ (address-stable across the unique_ptr move) or at the
-// caller-owned g_; either way the raw pointers transfer verbatim. Only the
-// atomic counters need hand-holding.
-FaultQueryEngine::FaultQueryEngine(FaultQueryEngine&& o) noexcept
-    : g_(o.g_),
-      h_owned_(std::move(o.h_owned_)),
-      h_(o.h_),
-      g_to_h_(std::move(o.g_to_h_)),
-      pool_(std::move(o.pool_)),
-      baselines_(std::move(o.baselines_)),
-      delta_(o.delta_),
-      queries_(o.queries_.load(std::memory_order_relaxed)),
-      fast_path_hits_(o.fast_path_hits_.load(std::memory_order_relaxed)),
-      repair_bfs_(o.repair_bfs_.load(std::memory_order_relaxed)),
-      full_bfs_(o.full_bfs_.load(std::memory_order_relaxed)) {}
-
-FaultQueryEngine& FaultQueryEngine::operator=(FaultQueryEngine&& o) noexcept {
-  g_ = o.g_;
-  h_owned_ = std::move(o.h_owned_);
-  h_ = o.h_;
-  g_to_h_ = std::move(o.g_to_h_);
-  pool_ = std::move(o.pool_);
-  baselines_ = std::move(o.baselines_);
-  delta_ = o.delta_;
-  queries_.store(o.queries_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  fast_path_hits_.store(o.fast_path_hits_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  repair_bfs_.store(o.repair_bfs_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  full_bfs_.store(o.full_bfs_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  return *this;
 }
 
 void FaultQueryEngine::apply_faults(Scratch& s, const FaultSpec& faults) const {
@@ -113,7 +71,7 @@ void FaultQueryEngine::apply_faults(Scratch& s, const FaultSpec& faults) const {
 const FaultQueryEngine::Baseline* FaultQueryEngine::baseline_for(
     Vertex source) {
   if (!delta_.enabled) return nullptr;
-  BaselineStore& store = *baselines_;
+  BaselineStore& store = shared_->baselines;
   const auto find = [&](Vertex s) -> const Baseline* {
     const auto it = std::lower_bound(
         store.entries.begin(), store.entries.end(), s,
@@ -314,16 +272,16 @@ const BfsResult& FaultQueryEngine::resolve(Scratch& s, Vertex source,
                                            const FaultSpec& faults,
                                            std::span<const Vertex> targets) {
   apply_faults(s, faults);
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  Counters& c = shared_->counters;
   if (const Baseline* base = baseline_for(source)) {
     switch (classify(s, *base, source)) {
       case Damage::kNone:
-        fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
+        c.fast_path_hits.fetch_add(1, std::memory_order_relaxed);
         return base->tree;
       case Damage::kSubtrees: {
         bool from_baseline = false;
         if (const BfsResult* r = repair(s, *base, targets, &from_baseline)) {
-          (from_baseline ? fast_path_hits_ : repair_bfs_)
+          (from_baseline ? c.fast_path_hits : c.repair_bfs)
               .fetch_add(1, std::memory_order_relaxed);
           return *r;
         }
@@ -333,75 +291,26 @@ const BfsResult& FaultQueryEngine::resolve(Scratch& s, Vertex source,
         break;  // everything unreachable; let the full BFS report it
     }
   }
-  full_bfs_.fetch_add(1, std::memory_order_relaxed);
+  c.full_bfs.fetch_add(1, std::memory_order_relaxed);
   return s.bfs.run_until(source, targets, &s.mask);
 }
 
-FaultQueryEngine::Scratch& FaultQueryEngine::scratch(std::size_t slot) {
-  const std::lock_guard lock(pool_->mutex);
-  while (pool_->slots.size() <= slot) {
-    pool_->slots.push_back(std::make_unique<Scratch>(*h_));
-  }
-  return *pool_->slots[slot];
-}
-
 FaultQueryEngine::ScratchLease FaultQueryEngine::acquire_scratch() {
-  const std::lock_guard lock(pool_->mutex);
-  if (!pool_->free_list.empty()) {
-    const std::size_t slot = pool_->free_list.back();
-    pool_->free_list.pop_back();
-    return ScratchLease(this, pool_->slots[slot].get(), slot);
+  ScratchPool& pool = shared_->pool;
+  const std::lock_guard lock(pool.mutex);
+  if (pool.free_list.empty()) {
+    pool.slots.push_back(std::make_unique<Scratch>(*h_));
+    return ScratchLease(&pool, pool.slots.back().get());
   }
-  pool_->slots.push_back(std::make_unique<Scratch>(*h_));
-  return ScratchLease(this, pool_->slots.back().get(), pool_->slots.size() - 1);
+  Scratch* s = pool.free_list.back();
+  pool.free_list.pop_back();
+  return ScratchLease(&pool, s);
 }
 
-void FaultQueryEngine::release_scratch(std::size_t slot) {
+FaultQueryEngine::ScratchLease::~ScratchLease() {
+  if (pool_ == nullptr) return;
   const std::lock_guard lock(pool_->mutex);
-  pool_->free_list.push_back(slot);
-}
-
-std::uint32_t FaultQueryEngine::distance_in(Scratch& s, Vertex source,
-                                            Vertex target,
-                                            const FaultSpec& faults) {
-  const Vertex targets[1] = {target};
-  return resolve(s, source, faults, targets).hops[target];
-}
-
-std::optional<Path> FaultQueryEngine::shortest_path_in(Scratch& s,
-                                                       Vertex source,
-                                                       Vertex target,
-                                                       const FaultSpec& faults) {
-  const Vertex targets[1] = {target};
-  const BfsResult& r = resolve(s, source, faults, targets);
-  if (r.hops[target] == kInfHops) return std::nullopt;
-  Path p;
-  for (Vertex cur = target; cur != kInvalidVertex; cur = r.parent[cur]) {
-    p.push_back(cur);
-  }
-  std::reverse(p.begin(), p.end());
-  return p;
-}
-
-const BfsResult& FaultQueryEngine::query(Vertex source,
-                                         const FaultSpec& faults) {
-  return resolve(scratch(0), source, faults, {});
-}
-
-std::uint32_t FaultQueryEngine::distance(Vertex source, Vertex target,
-                                         const FaultSpec& faults) {
-  return distance_in(scratch(0), source, target, faults);
-}
-
-std::optional<Path> FaultQueryEngine::shortest_path(Vertex source,
-                                                    Vertex target,
-                                                    const FaultSpec& faults) {
-  return shortest_path_in(scratch(0), source, target, faults);
-}
-
-const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
-    Vertex source, const FaultSpec& faults) {
-  return resolve(scratch(0), source, faults, {}).hops;
+  pool_->free_list.push_back(scratch_);
 }
 
 const BfsResult& FaultQueryEngine::query(ScratchLease& lease, Vertex source,
@@ -412,46 +321,28 @@ const BfsResult& FaultQueryEngine::query(ScratchLease& lease, Vertex source,
 std::uint32_t FaultQueryEngine::distance(ScratchLease& lease, Vertex source,
                                          Vertex target,
                                          const FaultSpec& faults) {
-  return distance_in(*lease.scratch_, source, target, faults);
+  const Vertex targets[1] = {target};
+  return resolve(*lease.scratch_, source, faults, targets).hops[target];
 }
 
 std::optional<Path> FaultQueryEngine::shortest_path(ScratchLease& lease,
                                                     Vertex source,
                                                     Vertex target,
                                                     const FaultSpec& faults) {
-  return shortest_path_in(*lease.scratch_, source, target, faults);
+  const Vertex targets[1] = {target};
+  const BfsResult& r = resolve(*lease.scratch_, source, faults, targets);
+  if (r.hops[target] == kInfHops) return std::nullopt;
+  Path p;
+  for (Vertex cur = target; cur != kInvalidVertex; cur = r.parent[cur]) {
+    p.push_back(cur);
+  }
+  std::reverse(p.begin(), p.end());
+  return p;
 }
 
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     ScratchLease& lease, Vertex source, const FaultSpec& faults) {
   return resolve(*lease.scratch_, source, faults, {}).hops;
-}
-
-std::vector<std::uint32_t> FaultQueryEngine::batch(
-    Vertex source, std::span<const FaultSpec> fault_sets,
-    std::span<const Vertex> targets) {
-  const std::size_t rows = fault_sets.size();
-  const std::size_t cols = targets.size();
-  std::vector<std::uint32_t> out(rows * cols, kInfHops);
-  if (rows == 0 || cols == 0) return out;
-
-  // Leased scratch, not a fixed slot: batch may run concurrently with leased
-  // single queries on the same engine (the service's workers).
-  ScratchLease lease = acquire_scratch();
-  Scratch& s = *lease.scratch_;
-  for (std::size_t i = 0; i < rows; ++i) {
-    // One delta-classified query per row: fault sets that miss the baseline
-    // tree (or whose damage misses every target) read straight from the
-    // baseline; damaged rows run the bounded repair; the early-exit full BFS
-    // remains the fallback.
-    const std::vector<std::uint32_t>& hops =
-        resolve(s, source, fault_sets[i], targets).hops;
-    for (std::size_t j = 0; j < cols; ++j) {
-      out[i * cols + j] = hops[targets[j]];
-    }
-  }
-  // resolve counted each row in queries_ and in the path counters.
-  return out;
 }
 
 }  // namespace ftbfs

@@ -1,4 +1,4 @@
-// FaultQueryEngine — the one batched query core every consumer routes through.
+// FaultQueryEngine — the one query core every consumer routes through.
 //
 // The library's query-side consumers (the serving pool, the verifiers,
 // the failure simulator, the CLI `query` subcommand, the query benches) all
@@ -10,19 +10,16 @@
 // from H cannot affect distances inside H and are dropped), vertex faults
 // share ids between G and H.
 //
-// Batched queries (`batch`) run one delta-classified query per fault set on
-// a single leased (mask, BFS) scratch slot, so no allocation or sharing
-// happens on the hot path.
+// Every query runs on a leased (mask, BFS) scratch slot:
+// acquire_scratch() checks a slot out of the pool under a mutex (creating one
+// when none is free), the query overloads run on that slot with no shared
+// state, and the lease returns the slot on destruction. Results are borrowed
+// from the slot until its next query or the lease's end. Concurrent callers
+// (OracleService workers, threaded `ftbfs serve`) hold one lease each; serial
+// callers (the verifiers, the CLI `query` subcommand, the benches) hold one
+// per engine. Steady-state queries allocate nothing.
 // This is the serving substrate the ROADMAP's sensitivity-oracle/service line
-// builds on: a fault set is a "scenario", a batch is a scenario sweep.
-//
-// Concurrent callers (OracleService workers, threaded `ftbfs serve`) lease
-// scratch explicitly: acquire_scratch() checks a slot out of the pool under a
-// mutex, the lease-taking query overloads run on that slot with no shared
-// state, and the lease returns the slot on destruction. The lease-free
-// single-query API keeps its historical "serial scratch, results borrowed
-// until the next query" contract on the reserved slot 0 and must not be
-// called from two threads at once.
+// builds on: a fault set is a "scenario".
 //
 // Fault-delta query path (docs/perf.md): a small fault set perturbs only a
 // small region of the BFS tree — that is the paper's whole point — so the
@@ -57,6 +54,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/ftbfs_common.h"
@@ -72,8 +70,7 @@ class CanonicalFaultSet;
 
 // A fault set for one query: edge ids of the host graph, plus vertex ids.
 // Either span may be empty; both kinds may be mixed in one query. This is a
-// non-owning view — the referenced id arrays must outlive the query (and, for
-// `batch`, the whole batch call).
+// non-owning view — the referenced id arrays must outlive the query.
 struct FaultSpec {
   std::span<const EdgeId> edges{};
   std::span<const Vertex> vertices{};
@@ -137,86 +134,58 @@ class FaultQueryEngine {
   FaultQueryEngine(const Graph& g, const FtStructure& h)
       : FaultQueryEngine(g, std::span<const EdgeId>(h.edges)) {}
 
-  FaultQueryEngine(FaultQueryEngine&&) noexcept;
-  FaultQueryEngine& operator=(FaultQueryEngine&&) noexcept;
+  FaultQueryEngine(FaultQueryEngine&&) noexcept = default;
+  FaultQueryEngine& operator=(FaultQueryEngine&&) noexcept = default;
 
-  // --- single-query API (serial scratch; results borrowed until next query) -
-
-  // Full BFS result from `source` in H ∖ faults. The primitive every other
-  // query is sugar over; exposes parents for path reconstruction.
-  const BfsResult& query(Vertex source, const FaultSpec& faults);
-
-  // Exact hop distance source→target in H ∖ faults (kInfHops if
-  // disconnected). Runs an early-exit BFS: only the ball around the target
-  // is explored.
-  [[nodiscard]] std::uint32_t distance(Vertex source, Vertex target,
-                                       const FaultSpec& faults);
-
-  // Shortest source→target path in H ∖ faults (vertex ids of g), or nullopt.
-  [[nodiscard]] std::optional<Path> shortest_path(Vertex source, Vertex target,
-                                                  const FaultSpec& faults);
-
-  // Distances to every vertex under one fault set (one full BFS).
-  [[nodiscard]] const std::vector<std::uint32_t>& all_distances(
-      Vertex source, const FaultSpec& faults);
-
-  // --- concurrent API (leased scratch; thread-safe) -------------------------
+  // --- queries (leased scratch; thread-safe) --------------------------------
 
  private:
-  struct Scratch;  // declared below; leases carry a stable pointer to one
+  struct Scratch;      // declared below; leases carry a stable pointer to one
+  struct ScratchPool;  // heap-allocated, so a lease outlives engine moves
 
  public:
   // RAII checkout of one (mask, BFS, canon) scratch slot. Results returned by
-  // the lease-taking overloads below are borrowed from the slot and stay
-  // valid while the lease lives; concurrent leases never share state. The
-  // lease resolves its slot to a stable Scratch* under the pool mutex at
-  // acquire time, so later pool growth cannot move it.
+  // the query overloads below are borrowed from the slot and stay valid until
+  // the slot's next query or the lease's end; concurrent leases never share
+  // state.
   class ScratchLease {
    public:
     ScratchLease(ScratchLease&& o) noexcept
-        : owner_(o.owner_), scratch_(o.scratch_), slot_(o.slot_) {
-      o.owner_ = nullptr;
-    }
+        : pool_(std::exchange(o.pool_, nullptr)), scratch_(o.scratch_) {}
     ScratchLease& operator=(ScratchLease&&) = delete;
     ScratchLease(const ScratchLease&) = delete;
-    ~ScratchLease() {
-      if (owner_ != nullptr) owner_->release_scratch(slot_);
-    }
+    ~ScratchLease();
 
    private:
     friend class FaultQueryEngine;
-    ScratchLease(FaultQueryEngine* owner, Scratch* scratch, std::size_t slot)
-        : owner_(owner), scratch_(scratch), slot_(slot) {}
-    FaultQueryEngine* owner_;
+    ScratchLease(ScratchPool* pool, Scratch* scratch)
+        : pool_(pool), scratch_(scratch) {}
+    ScratchPool* pool_;
     Scratch* scratch_;
-    std::size_t slot_;
   };
 
-  // Checks a slot out of the pool (growing it on first contention beyond its
-  // high-water mark); O(1) amortized, one mutex acquisition.
+  // Checks a free slot out of the pool, creating one when none is free;
+  // one mutex acquisition.
   [[nodiscard]] ScratchLease acquire_scratch();
 
-  // Thread-safe counterparts of the single-query API: identical answers,
-  // scratch taken from the lease instead of the shared serial slot.
+  // Full BFS result from `source` in H ∖ faults; exposes parents for path
+  // reconstruction.
   const BfsResult& query(ScratchLease& lease, Vertex source,
                          const FaultSpec& faults);
+
+  // Exact hop distance source→target in H ∖ faults (kInfHops if
+  // disconnected). The full-BFS fallback exits early once the target settles.
   [[nodiscard]] std::uint32_t distance(ScratchLease& lease, Vertex source,
                                        Vertex target, const FaultSpec& faults);
+
+  // Shortest source→target path in H ∖ faults (vertex ids of g), or nullopt.
   [[nodiscard]] std::optional<Path> shortest_path(ScratchLease& lease,
                                                   Vertex source, Vertex target,
                                                   const FaultSpec& faults);
+
+  // Distances to every vertex under one fault set.
   [[nodiscard]] const std::vector<std::uint32_t>& all_distances(
       ScratchLease& lease, Vertex source, const FaultSpec& faults);
-
-  // --- batched API ----------------------------------------------------------
-
-  // One distance matrix: result[i * targets.size() + j] is the distance
-  // source→targets[j] in H ∖ fault_sets[i]. Each fault set costs one
-  // delta-classified query (the full fallback BFS stops once all targets are
-  // settled), run in order on one leased scratch slot.
-  [[nodiscard]] std::vector<std::uint32_t> batch(
-      Vertex source, std::span<const FaultSpec> fault_sets,
-      std::span<const Vertex> targets);
 
   // --- delta-path configuration & counters ----------------------------------
 
@@ -231,11 +200,12 @@ class FaultQueryEngine {
     double max_affected_fraction = 0.5;
   };
 
-  // How queries were answered (relaxed counters, safe to read under load):
+  // How queries were answered (relaxed counters, safe to read under load);
+  // every query bumps exactly one, so their sum is the query count:
   // fast_path_hits = served from the baseline arrays with no BFS at all,
   // repair_bfs = bounded repair BFS over the affected region, full_bfs =
   // full masked BFS (delta disabled, threshold fallback, faulted source, or
-  // a parent-exposing API with tree damage).
+  // a source beyond the kMaxBaselines per-engine baseline cap).
   struct PathStats {
     std::uint64_t fast_path_hits = 0;
     std::uint64_t repair_bfs = 0;
@@ -254,22 +224,16 @@ class FaultQueryEngine {
   // diffs against exactly this vector. Thread-safe.
   [[nodiscard]] const std::vector<std::uint32_t>* baseline_hops(Vertex source);
   [[nodiscard]] PathStats path_stats() const {
-    return PathStats{fast_path_hits_.load(std::memory_order_relaxed),
-                     repair_bfs_.load(std::memory_order_relaxed),
-                     full_bfs_.load(std::memory_order_relaxed)};
+    const Counters& c = shared_->counters;
+    return PathStats{c.fast_path_hits.load(std::memory_order_relaxed),
+                     c.repair_bfs.load(std::memory_order_relaxed),
+                     c.full_bfs.load(std::memory_order_relaxed)};
   }
 
   // --- introspection --------------------------------------------------------
 
-  [[nodiscard]] const Graph& host() const { return *g_; }
+  // H; the host graph itself for the identity engine.
   [[nodiscard]] const Graph& structure_graph() const { return *h_; }
-  [[nodiscard]] std::uint64_t structure_edges() const {
-    return h_->num_edges();
-  }
-  [[nodiscard]] bool is_identity() const { return h_ == g_; }
-  [[nodiscard]] std::uint64_t queries_answered() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Snapshot persistence (src/persist/service_io.cpp) exports built baselines
@@ -316,20 +280,17 @@ class FaultQueryEngine {
     }
   };
 
-  // Slot storage plus the free list leases draw from. Heap-allocated as one
-  // block so the engine stays movable despite the mutex.
+  // Slot storage plus the free list leases draw from; starts empty.
   struct ScratchPool {
     std::mutex mutex;
-    std::vector<std::unique_ptr<Scratch>> slots;  // slot 0 = serial scratch
-    std::vector<std::size_t> free_list;           // never contains slot 0
+    std::vector<std::unique_ptr<Scratch>> slots;
+    std::vector<Scratch*> free_list;
   };
 
   // Baselines keyed by source, append-only, behind a shared mutex so the
-  // per-query lookup is one shared lock. Heap-allocated as one block (like
-  // the scratch pool) so the engine stays movable despite the mutex. Capped:
-  // a caller sweeping hundreds of sources (verifiers over big graphs) should
-  // not turn the engine into an all-pairs table, so sources beyond the cap
-  // simply take the full-BFS path.
+  // per-query lookup is one shared lock. Capped: a caller sweeping hundreds
+  // of sources (verifiers over big graphs) should not turn the engine into an
+  // all-pairs table, so sources beyond the cap simply take the full-BFS path.
   struct BaselineStore {
     std::shared_mutex mutex;
     // Sorted by source; small (kMaxBaselines), so binary search beats a map.
@@ -337,12 +298,25 @@ class FaultQueryEngine {
   };
   static constexpr std::size_t kMaxBaselines = 64;
 
+  // The PathStats tiers, on their own cache line: every query bumps one, and
+  // sharing a line with the pool mutex every lease takes would bounce it.
+  struct alignas(64) Counters {
+    std::atomic<std::uint64_t> fast_path_hits{0};
+    std::atomic<std::uint64_t> repair_bfs{0};
+    std::atomic<std::uint64_t> full_bfs{0};
+  };
+
+  // Everything with a mutex or an atomic, in one heap block, so the engine's
+  // moves are the defaulted member moves.
+  struct Shared {
+    ScratchPool pool;
+    BaselineStore baselines;
+    Counters counters;
+  };
+
   // Canonicalizes `faults` into `s.canon`, then resets `s.mask` and applies
   // the distinct ids (host ids) to it.
   void apply_faults(Scratch& s, const FaultSpec& faults) const;
-
-  [[nodiscard]] Scratch& scratch(std::size_t slot);
-  void release_scratch(std::size_t slot);
 
   // Tier 0: the baseline for `source`, built on first use; nullptr when the
   // delta path is disabled or the baseline cap is reached.
@@ -377,22 +351,12 @@ class FaultQueryEngine {
                                          const FaultSpec& faults,
                                          std::span<const Vertex> targets);
 
-  std::uint32_t distance_in(Scratch& s, Vertex source, Vertex target,
-                            const FaultSpec& faults);
-  std::optional<Path> shortest_path_in(Scratch& s, Vertex source, Vertex target,
-                                       const FaultSpec& faults);
-
   const Graph* g_;
   std::unique_ptr<Graph> h_owned_;  // null for the identity engine
   const Graph* h_;                  // == g_ or h_owned_.get(); address-stable
   std::vector<EdgeId> g_to_h_;      // empty for the identity engine
-  std::unique_ptr<ScratchPool> pool_;
-  std::unique_ptr<BaselineStore> baselines_;
+  std::unique_ptr<Shared> shared_;
   DeltaOptions delta_{};
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> fast_path_hits_{0};
-  std::atomic<std::uint64_t> repair_bfs_{0};
-  std::atomic<std::uint64_t> full_bfs_{0};
 };
 
 }  // namespace ftbfs

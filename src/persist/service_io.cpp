@@ -107,7 +107,7 @@ SnapshotImage PersistAccess::export_service(const OracleService& service,
       // const_cast confined to reaching the engine's baseline store mutex;
       // the export only reads.
       auto& engine = const_cast<FaultQueryEngine&>(service.entries_[i].engine);
-      FaultQueryEngine::BaselineStore& store = *engine.baselines_;
+      FaultQueryEngine::BaselineStore& store = engine.shared_->baselines;
       const std::shared_lock lock(store.mutex);
       for (const auto& [source, base] : store.entries) {
         BaselineImage out;
@@ -203,7 +203,7 @@ void PersistAccess::restore_service(OracleService& service,
         reject("baseline tree index disagrees with the stored tree");
       }
     }
-    FaultQueryEngine::BaselineStore& store = *engine.baselines_;
+    FaultQueryEngine::BaselineStore& store = engine.shared_->baselines;
     const std::unique_lock lock(store.mutex);
     if (store.entries.size() >= FaultQueryEngine::kMaxBaselines) continue;
     const auto it = std::lower_bound(

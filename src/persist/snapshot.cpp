@@ -16,7 +16,6 @@
 #include <thread>
 #include <utility>
 
-#include "util/concurrency.h"
 #include "util/failpoint.h"
 
 namespace ftbfs {
@@ -217,7 +216,7 @@ struct ByteReader {
 // one contiguous byte range with the same bounds-checked cursors.
 class FileBytes {
  public:
-  FileBytes(const std::string& path, bool try_mmap) {
+  explicit FileBytes(const std::string& path) {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
       fail(SnapshotStatus::kIoError,
@@ -231,7 +230,7 @@ class FileBytes {
            "cannot stat '" + path + "': " + std::strerror(err));
     }
     size_ = static_cast<std::size_t>(st.st_size);
-    if (try_mmap && size_ > 0) {
+    if (size_ > 0) {
       // Failpoint `persist.mmap`: simulate mmap failing (filesystem without
       // mapping support) so the buffered fallback below stays exercised.
       static fp::Failpoint& fp_mmap = fp::site("persist.mmap");
@@ -673,56 +672,27 @@ std::string describe(const GraphFingerprint& fp) {
   return buf;
 }
 
-void save_snapshot(const std::string& path, const SnapshotImage& image,
-                   unsigned jobs) {
-  // Encode every section first; the header needs the final offsets. The
-  // sections are independent until the TOC, so their encoders and CRC-32
-  // passes run on a small crew; the layout below stays sequential and the
-  // file bytes are identical at any job count.
+void save_snapshot(const std::string& path, const SnapshotImage& image) {
+  // Encode every section first; the header needs the final offsets.
   struct Section {
     std::uint32_t tag;
     ByteWriter payload;
     std::uint32_t crc = 0;
   };
-  std::vector<Section> sections;
-  sections.push_back({kSectionGraph, {}, 0});
-  sections.push_back({kSectionEntries, {}, 0});
-  sections.push_back({kSectionBaselines, {}, 0});
-  if (!image.cache_lines.empty()) {
-    sections.push_back({kSectionCache, {}, 0});
+  std::vector<Section> sections(image.cache_lines.empty() ? 3 : 4);
+  sections[0].tag = kSectionGraph;
+  encode_graph(sections[0].payload, image.graph);
+  sections[1].tag = kSectionEntries;
+  encode_entries(sections[1].payload, image.entries);
+  sections[2].tag = kSectionBaselines;
+  encode_baselines(sections[2].payload, image.baselines);
+  if (sections.size() == 4) {
+    sections[3].tag = kSectionCache;
+    encode_cache(sections[3].payload, image.cache_lines);
   }
-  auto encode_section = [&](Section& s) {
-    switch (s.tag) {
-      case kSectionGraph:
-        encode_graph(s.payload, image.graph);
-        break;
-      case kSectionEntries:
-        encode_entries(s.payload, image.entries);
-        break;
-      case kSectionBaselines:
-        encode_baselines(s.payload, image.baselines);
-        break;
-      default:
-        encode_cache(s.payload, image.cache_lines);
-        break;
-    }
+  for (Section& s : sections) {
     s.crc = crc32(s.payload.bytes.data(), s.payload.bytes.size());
-  };
-  // Worker 0 is this thread; at one worker the crew is empty.
-  const unsigned workers = resolve_jobs(jobs, sections.size());
-  std::vector<std::thread> crew;
-  crew.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) {
-    crew.emplace_back([&, t] {
-      for (std::size_t i = t; i < sections.size(); i += workers) {
-        encode_section(sections[i]);
-      }
-    });
   }
-  for (std::size_t i = 0; i < sections.size(); i += workers) {
-    encode_section(sections[i]);
-  }
-  for (std::thread& th : crew) th.join();
 
   const GraphFingerprint fp = fingerprint_of(image.graph);
   std::vector<char> file;
@@ -856,7 +826,7 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
 
 SnapshotImage load_snapshot(const std::string& path,
                             const SnapshotLoadOptions& options) {
-  const FileBytes file(path, options.use_mmap);
+  const FileBytes file(path);
   const ParsedHeader header = parse_header(file.data(), file.size());
   if (options.expect != nullptr && !(header.fingerprint == *options.expect)) {
     fail(SnapshotStatus::kGraphMismatch,
@@ -922,7 +892,7 @@ GraphFingerprint peek_snapshot_fingerprint(const std::string& path) {
   // Header + TOC only; sections are neither checksummed nor decoded. The
   // buffered path reads the whole file, but manifests and CLI pre-flight
   // call this on files they are about to load anyway.
-  const FileBytes file(path, /*try_mmap=*/true);
+  const FileBytes file(path);
   return parse_header(file.data(), file.size()).fingerprint;
 }
 

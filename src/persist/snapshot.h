@@ -144,19 +144,9 @@ struct SnapshotImage {
 // Writes `image` to `path` (atomically: a temp file renamed into place, so a
 // crash mid-save never leaves a half-written snapshot under the real name).
 // Throws SnapshotError(kIoError) on filesystem failure.
-//
-// `jobs` parallelizes the section encoders and their CRC-32 passes — the
-// sections are independent until the TOC is laid out, which stays sequential,
-// so the produced file is byte-identical at any value. 0 = auto (clamped
-// hardware concurrency), 1 = sequential.
-void save_snapshot(const std::string& path, const SnapshotImage& image,
-                   unsigned jobs = 0);
+void save_snapshot(const std::string& path, const SnapshotImage& image);
 
 struct SnapshotLoadOptions {
-  // mmap the file and parse in place; false forces the buffered-read path
-  // (the loader also falls back by itself when mmap fails, e.g. on
-  // filesystems without mapping support).
-  bool use_mmap = true;
   // Require the snapshot's graph fingerprint to equal *expect (fail closed
   // with kGraphMismatch otherwise). Null skips the check.
   const GraphFingerprint* expect = nullptr;

@@ -35,8 +35,9 @@ class ServiceTruth {
     }
     EXPECT_TRUE(resp.exact) << "request " << req.id;
     const FaultSpec faults{req.fault_edges, req.fault_vertices};
+    auto lease = engine_.acquire_scratch();
     const std::vector<std::uint32_t> truth =
-        engine_.all_distances(req.source, faults);
+        engine_.all_distances(lease, req.source, faults);
     if (req.kind == QueryKind::kAllDistances) {
       EXPECT_EQ(resp.distances, truth) << "request " << req.id;
       return true;

@@ -144,6 +144,8 @@ void expect_engines_agree(const Graph& g, std::span<const EdgeId> h_edges,
   delta.set_delta_options({.enabled = true, .max_affected_fraction = fraction});
   FaultQueryEngine full(g, h_edges);
   full.set_delta_options(delta_off());
+  auto delta_lease = delta.acquire_scratch();
+  auto full_lease = full.acquire_scratch();
 
   // The baseline tree of G guides the tree-damage bias (H's own tree differs,
   // but parent edges of G frequently land on H tree edges too).
@@ -167,28 +169,27 @@ void expect_engines_agree(const Graph& g, std::span<const EdgeId> h_edges,
     SCOPED_TRACE("round " + std::to_string(r));
 
     // all_distances: the full vector, every vertex.
-    EXPECT_EQ(delta.all_distances(source, spec), full.all_distances(source, spec));
+    EXPECT_EQ(delta.all_distances(delta_lease, source, spec),
+              full.all_distances(full_lease, source, spec));
 
     // distance: single-target early-exit path.
     const Vertex t = targets[r % targets.size()];
-    EXPECT_EQ(delta.distance(source, t, spec), full.distance(source, t, spec));
+    EXPECT_EQ(delta.distance(delta_lease, source, t, spec),
+              full.distance(full_lease, source, t, spec));
 
     // query: the parent-exposing primitive. Hops bit-identical; parents a
     // valid shortest-path tree (repair parents may pick a different
     // equal-hop candidate than the full BFS's queue order did).
-    const BfsResult& fr = full.query(source, spec);
-    const BfsResult& dr = delta.query(source, spec);
+    const BfsResult& fr = full.query(full_lease, source, spec);
+    const BfsResult& dr = delta.query(delta_lease, source, spec);
     expect_valid_tree(g, delta.structure_graph(), source, spec, dr, fr);
 
     // shortest_path: a real shortest path of the exact full-BFS length.
-    const std::optional<Path> dp = delta.shortest_path(source, t, spec);
+    const std::optional<Path> dp =
+        delta.shortest_path(delta_lease, source, t, spec);
     expect_valid_path(g, delta.structure_graph(), source, t, spec,
                       fr.hops[t], dp);
   }
-
-  // batch: whole matrix in one call.
-  EXPECT_EQ(delta.batch(source, specs, targets),
-            full.batch(source, specs, targets));
 }
 
 TEST(DeltaPath, MatchesFullBfsOnRandomGraphs) {
@@ -232,6 +233,7 @@ TEST(DeltaPath, ThresholdBoundaryFractions) {
   FaultQueryEngine never_repair(g);
   never_repair.set_delta_options(
       {.enabled = true, .max_affected_fraction = 0.0});
+  auto never_repair_lease = never_repair.acquire_scratch();
   Bfs bfs(g);
   const BfsResult tree = bfs.run(0);
   EdgeId tree_edge = kInvalidEdge;  // any tree edge (the graph may leave
@@ -241,7 +243,8 @@ TEST(DeltaPath, ThresholdBoundaryFractions) {
   }
   ASSERT_NE(tree_edge, kInvalidEdge);
   const EdgeId faults[1] = {tree_edge};
-  (void)never_repair.all_distances(0, edge_faults(faults));
+  (void)never_repair.all_distances(never_repair_lease, 0,
+                                   edge_faults(faults));
   const FaultQueryEngine::PathStats stats = never_repair.path_stats();
   EXPECT_EQ(stats.repair_bfs, 0u);
   EXPECT_EQ(stats.full_bfs, 1u);
@@ -251,6 +254,7 @@ TEST(DeltaPath, CountersClassifyQueries) {
   const Graph g = cycle_graph(32);  // every edge is either tree or the one
                                     // cross edge closing the cycle
   FaultQueryEngine engine(g);
+  auto engine_lease = engine.acquire_scratch();
   Bfs bfs(g);
   const BfsResult tree = bfs.run(0);
 
@@ -265,7 +269,7 @@ TEST(DeltaPath, CountersClassifyQueries) {
   }
   ASSERT_NE(non_tree, kInvalidEdge);
   const EdgeId nt_faults[1] = {non_tree};
-  (void)engine.all_distances(0, edge_faults(nt_faults));
+  (void)engine.all_distances(engine_lease, 0, edge_faults(nt_faults));
   FaultQueryEngine::PathStats stats = engine.path_stats();
   EXPECT_EQ(stats.fast_path_hits, 1u);
   EXPECT_EQ(stats.repair_bfs, 0u);
@@ -276,7 +280,7 @@ TEST(DeltaPath, CountersClassifyQueries) {
   const EdgeId leaf_edge = tree.parent_edge[16];
   ASSERT_NE(leaf_edge, kInvalidEdge);
   const EdgeId tr_faults[1] = {leaf_edge};
-  (void)engine.all_distances(0, edge_faults(tr_faults));
+  (void)engine.all_distances(engine_lease, 0, edge_faults(tr_faults));
   stats = engine.path_stats();
   EXPECT_EQ(stats.fast_path_hits, 1u);
   EXPECT_EQ(stats.repair_bfs, 1u);
@@ -284,7 +288,8 @@ TEST(DeltaPath, CountersClassifyQueries) {
 
   // Single-target distance whose target sits outside the damage: answered
   // from the baseline without running the repair.
-  const std::uint32_t d = engine.distance(0, 8, edge_faults(tr_faults));
+  const std::uint32_t d =
+      engine.distance(engine_lease, 0, 8, edge_faults(tr_faults));
   EXPECT_EQ(d, 8u);
   stats = engine.path_stats();
   EXPECT_EQ(stats.fast_path_hits, 2u);
@@ -292,14 +297,14 @@ TEST(DeltaPath, CountersClassifyQueries) {
 
   // Faulted source: full BFS reports the all-unreachable result.
   const Vertex src_fault[1] = {0};
-  const auto& hops = engine.all_distances(0, vertex_faults(src_fault));
+  const auto& hops =
+      engine.all_distances(engine_lease, 0, vertex_faults(src_fault));
   for (Vertex v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(hops[v], kInfHops);
   stats = engine.path_stats();
   EXPECT_EQ(stats.full_bfs, 1u);
 
   // Every query is accounted to exactly one path.
-  EXPECT_EQ(stats.fast_path_hits + stats.repair_bfs + stats.full_bfs,
-            engine.queries_answered());
+  EXPECT_EQ(stats.fast_path_hits + stats.repair_bfs + stats.full_bfs, 4u);
 }
 
 TEST(DeltaPath, RepairHandlesDisconnection) {
@@ -308,8 +313,9 @@ TEST(DeltaPath, RepairHandlesDisconnection) {
   const Graph g = path_graph(20);
   FaultQueryEngine engine(g);
   engine.set_delta_options({.enabled = true, .max_affected_fraction = 1.0});
+  auto engine_lease = engine.acquire_scratch();
   const EdgeId cut[1] = {g.find_edge(9, 10)};
-  const auto& hops = engine.all_distances(0, edge_faults(cut));
+  const auto& hops = engine.all_distances(engine_lease, 0, edge_faults(cut));
   for (Vertex v = 0; v < 10; ++v) EXPECT_EQ(hops[v], v);
   for (Vertex v = 10; v < 20; ++v) EXPECT_EQ(hops[v], kInfHops);
   EXPECT_EQ(engine.path_stats().repair_bfs, 1u);
@@ -323,13 +329,15 @@ TEST(DeltaPath, RepairReroutesAroundDamage) {
   delta.set_delta_options({.enabled = true, .max_affected_fraction = 1.0});
   FaultQueryEngine full(g);
   full.set_delta_options(delta_off());
+  auto delta_lease = delta.acquire_scratch();
+  auto full_lease = full.acquire_scratch();
   Bfs bfs(g);
   const BfsResult tree = bfs.run(0);
   for (Vertex v : {static_cast<Vertex>(9), static_cast<Vertex>(27),
                    static_cast<Vertex>(63)}) {
     const EdgeId faults[1] = {tree.parent_edge[v]};
-    EXPECT_EQ(delta.all_distances(0, edge_faults(faults)),
-              full.all_distances(0, edge_faults(faults)));
+    EXPECT_EQ(delta.all_distances(delta_lease, 0, edge_faults(faults)),
+              full.all_distances(full_lease, 0, edge_faults(faults)));
   }
   EXPECT_GT(delta.path_stats().repair_bfs, 0u);
 }
@@ -343,21 +351,24 @@ TEST(DeltaPath, ParentQueriesTakeRepairPath) {
   FaultQueryEngine engine(g);
   FaultQueryEngine full(g);
   full.set_delta_options(delta_off());
+  auto engine_lease = engine.acquire_scratch();
+  auto full_lease = full.acquire_scratch();
   Bfs bfs(g);
   const BfsResult tree = bfs.run(0);
   const EdgeId faults[1] = {tree.parent_edge[27]};  // interior tree edge
   const FaultSpec spec = edge_faults(faults);
 
   // query: repaired tree, not a full BFS.
-  const BfsResult& fr = full.query(0, spec);
-  const BfsResult& dr = engine.query(0, spec);
+  const BfsResult& fr = full.query(full_lease, 0, spec);
+  const BfsResult& dr = engine.query(engine_lease, 0, spec);
   expect_valid_tree(g, engine.structure_graph(), 0, spec, dr, fr);
   FaultQueryEngine::PathStats stats = engine.path_stats();
   EXPECT_EQ(stats.repair_bfs, 1u);
   EXPECT_EQ(stats.full_bfs, 0u);
 
   // shortest_path to a vertex inside the damaged subtree: repair again.
-  const std::optional<Path> into = engine.shortest_path(0, 27, spec);
+  const std::optional<Path> into =
+      engine.shortest_path(engine_lease, 0, 27, spec);
   expect_valid_path(g, engine.structure_graph(), 0, 27, spec, fr.hops[27],
                     into);
   stats = engine.path_stats();
@@ -366,7 +377,8 @@ TEST(DeltaPath, ParentQueriesTakeRepairPath) {
 
   // shortest_path to an unaffected vertex: the baseline tree answers without
   // even running the repair.
-  const std::optional<Path> outside = engine.shortest_path(0, 8, spec);
+  const std::optional<Path> outside =
+      engine.shortest_path(engine_lease, 0, 8, spec);
   expect_valid_path(g, engine.structure_graph(), 0, 8, spec, fr.hops[8],
                     outside);
   stats = engine.path_stats();

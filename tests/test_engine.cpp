@@ -1,7 +1,7 @@
 // Tests for the engine layer: the BuilderRegistry contract (every registered
 // builder × every generator family yields a structure that verifies at its
-// declared fault budget) and the FaultQueryEngine (batched == sequential,
-// translation, identity mode, vertex faults).
+// declared fault budget) and the FaultQueryEngine (translation, identity
+// mode, vertex faults, shortest paths, tier counters).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,11 +141,12 @@ TEST(Registry, DefaultBuilderCoversEveryBudget) {
 TEST(QueryEngine, IdentityEngineMatchesBfs) {
   const Graph g = erdos_renyi(40, 0.15, 11);
   FaultQueryEngine engine(g);
-  EXPECT_TRUE(engine.is_identity());
+  EXPECT_EQ(&engine.structure_graph(), &g);
+  auto lease = engine.acquire_scratch();
   Bfs bfs(g);
   const BfsResult& r = bfs.run(0);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(engine.distance(0, v, {}), r.hops[v]);
+    EXPECT_EQ(engine.distance(lease, 0, v, {}), r.hops[v]);
   }
 }
 
@@ -158,6 +159,8 @@ TEST(QueryEngine, TranslatesHostEdgeIdsOntoStructure) {
   const BuildResult r = BuilderRegistry::instance().build("cons2ftbfs", req);
   FaultQueryEngine engine(g, r.structure);
   FaultQueryEngine truth(g);
+  auto lease = engine.acquire_scratch();
+  auto truth_lease = truth.acquire_scratch();
   Rng rng(23);
   for (int probe = 0; probe < 200; ++probe) {
     const EdgeId e1 = static_cast<EdgeId>(rng.next_below(g.num_edges()));
@@ -165,8 +168,8 @@ TEST(QueryEngine, TranslatesHostEdgeIdsOntoStructure) {
     if (e1 == e2) continue;
     const std::vector<EdgeId> faults = {e1, e2};
     const Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(engine.distance(0, v, edge_faults(faults)),
-              truth.distance(0, v, edge_faults(faults)));
+    EXPECT_EQ(engine.distance(lease, 0, v, edge_faults(faults)),
+              truth.distance(truth_lease, 0, v, edge_faults(faults)));
   }
 }
 
@@ -180,12 +183,14 @@ TEST(QueryEngine, VertexFaultsMatchGroundTruth) {
   const BuildResult r = BuilderRegistry::instance().build("kfail_ftbfs", req);
   FaultQueryEngine engine(g, r.structure);
   FaultQueryEngine truth(g);
+  auto lease = engine.acquire_scratch();
+  auto truth_lease = truth.acquire_scratch();
   for (Vertex u = 1; u < g.num_vertices(); ++u) {
     const std::vector<Vertex> faults = {u};
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       if (v == u) continue;
-      EXPECT_EQ(engine.distance(0, v, vertex_faults(faults)),
-                truth.distance(0, v, vertex_faults(faults)))
+      EXPECT_EQ(engine.distance(lease, 0, v, vertex_faults(faults)),
+                truth.distance(truth_lease, 0, v, vertex_faults(faults)))
           << "fault " << u << " target " << v;
     }
   }
@@ -199,10 +204,11 @@ TEST(QueryEngine, ShortestPathAvoidsFaultsAndIsOptimal) {
   req.fault_budget = 2;
   const BuildResult r = BuilderRegistry::instance().build("cons2ftbfs", req);
   FaultQueryEngine engine(g, r.structure);
+  auto lease = engine.acquire_scratch();
   const std::vector<EdgeId> faults = {2, 9};
   for (Vertex v = 1; v < g.num_vertices(); v += 4) {
-    const auto p = engine.shortest_path(0, v, edge_faults(faults));
-    const std::uint32_t d = engine.distance(0, v, edge_faults(faults));
+    const auto p = engine.shortest_path(lease, 0, v, edge_faults(faults));
+    const std::uint32_t d = engine.distance(lease, 0, v, edge_faults(faults));
     if (d == kInfHops) {
       EXPECT_FALSE(p.has_value());
       continue;
@@ -218,87 +224,23 @@ TEST(QueryEngine, ShortestPathAvoidsFaultsAndIsOptimal) {
   }
 }
 
-// The batched-vs-sequential equivalence property: batch() must agree with
-// one-at-a-time distance() for every (fault set, target) cell.
-TEST(QueryEngine, BatchMatchesSequential) {
-  const Graph g = erdos_renyi(50, 0.12, 31);
-  BuildRequest req;
-  req.graph = &g;
-  req.sources = {0};
-  req.fault_budget = 2;
-  const BuildResult r = BuilderRegistry::instance().build("cons2ftbfs", req);
-  FaultQueryEngine engine(g, r.structure);
-
-  Rng rng(41);
-  std::vector<std::vector<EdgeId>> storage(64);
-  std::vector<FaultSpec> fault_sets;
-  for (auto& fs : storage) {
-    const std::size_t k = rng.next_below(3);
-    for (std::size_t i = 0; i < k; ++i) {
-      fs.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
-    }
-    fault_sets.push_back(edge_faults(fs));
-  }
-  std::vector<Vertex> targets;
-  for (int i = 0; i < 9; ++i) {
-    targets.push_back(static_cast<Vertex>(rng.next_below(g.num_vertices())));
-  }
-
-  std::vector<std::uint32_t> expected;
-  for (const FaultSpec& fs : fault_sets) {
-    for (const Vertex t : targets) {
-      expected.push_back(engine.distance(0, t, fs));
-    }
-  }
-  EXPECT_EQ(engine.batch(0, fault_sets, targets), expected);
-}
-
-// A batch over the registry's default f=2 structure answers every cell with
-// the G ∖ F distance (the FT-BFS guarantee, read through the batched API).
-TEST(QueryEngine, StructureBatchMatchesGraphDistances) {
-  const Graph g = erdos_renyi(30, 0.2, 37);
-  BuildRequest req;
-  req.graph = &g;
-  req.sources = {0};
-  req.fault_budget = 2;
-  const BuildResult h = BuilderRegistry::instance().build(
-      BuilderRegistry::default_builder(2), req);
-  std::vector<std::vector<EdgeId>> storage = {{}, {1}, {2, 5}};
-  std::vector<FaultSpec> fault_sets;
-  for (const auto& fs : storage) fault_sets.push_back(edge_faults(fs));
-  const std::vector<Vertex> targets = {3, 11, 27};
-  const std::vector<std::uint32_t> matrix =
-      FaultQueryEngine(g, h.structure).batch(0, fault_sets, targets);
-  FaultQueryEngine truth(g);
-  for (std::size_t i = 0; i < fault_sets.size(); ++i) {
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(matrix[i * targets.size() + j],
-                truth.distance(0, targets[j], fault_sets[i]));
-    }
-  }
-}
-
-TEST(QueryEngine, BatchHandlesDegenerateShapes) {
-  const Graph g = cycle_graph(8);
-  FaultQueryEngine engine(g);
-  EXPECT_TRUE(engine.batch(0, {}, {}).empty());
-  const std::vector<FaultSpec> one_empty(1);
-  EXPECT_TRUE(engine.batch(0, one_empty, {}).empty());
-  const std::vector<Vertex> targets = {3};
-  EXPECT_EQ(engine.batch(0, one_empty, targets),
-            (std::vector<std::uint32_t>{3}));
-}
-
+// Every query bumps exactly one tier counter, so their sum counts queries.
 TEST(QueryEngine, CountsQueries) {
   const Graph g = cycle_graph(8);
   FaultQueryEngine engine(g);
-  EXPECT_EQ(engine.queries_answered(), 0u);
-  (void)engine.distance(0, 3, {});
-  (void)engine.shortest_path(0, 4, {});
-  const std::vector<FaultSpec> sets(5);
-  const std::vector<Vertex> targets = {1, 2};
-  (void)engine.batch(0, sets, targets);
-  EXPECT_EQ(engine.queries_answered(), 7u);
+  const auto answered = [&] {
+    const FaultQueryEngine::PathStats ps = engine.path_stats();
+    return ps.fast_path_hits + ps.repair_bfs + ps.full_bfs;
+  };
+  EXPECT_EQ(answered(), 0u);
+  auto lease = engine.acquire_scratch();
+  (void)engine.distance(lease, 0, 3, {});
+  (void)engine.shortest_path(lease, 0, 4, {});
+  const std::vector<EdgeId> cut = {0};
+  for (Vertex t = 1; t <= 5; ++t) {
+    (void)engine.distance(lease, 0, t, edge_faults(cut));
+  }
+  EXPECT_EQ(answered(), 7u);
 }
 
 }  // namespace

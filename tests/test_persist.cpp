@@ -41,6 +41,15 @@
 namespace ftbfs {
 namespace {
 
+// Failpoint state is process-global; every armed test must disarm on exit.
+struct DisarmOnExit {
+  ~DisarmOnExit() { fp::disarm_all(); }
+};
+
+// The loader's buffered-read path runs when mmap fails; this failpoint
+// schedule makes it fail.
+constexpr const char* kMmapFails = "persist.mmap=err(ENOMEM)";
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/ftbfs_persist_" + name;
 }
@@ -150,10 +159,12 @@ void expect_roundtrip(const Graph& g, const std::string& tag) {
   const std::string path = temp_path(tag + ".ftb");
   save_snapshot(path, image);
 
-  for (const bool use_mmap : {true, false}) {
-    SnapshotLoadOptions options;
-    options.use_mmap = use_mmap;
-    SnapshotImage loaded = load_snapshot(path, options);
+  for (const bool buffered : {false, true}) {
+    DisarmOnExit guard;
+    if (buffered) {
+      ASSERT_TRUE(fp::arm(kMmapFails));
+    }
+    SnapshotImage loaded = load_snapshot(path);
     EXPECT_EQ(fingerprint_of(loaded.graph), fingerprint_of(g));
 
     Graph host = std::move(loaded.graph);
@@ -162,11 +173,11 @@ void expect_roundtrip(const Graph& g, const std::string& tag) {
     EXPECT_EQ(restored.pool_size(), built.pool_size());
 
     const std::vector<std::string> got = serve_all(restored, reqs);
-    EXPECT_EQ(expected, got) << tag << " use_mmap=" << use_mmap;
+    EXPECT_EQ(expected, got) << tag << " buffered=" << buffered;
     // Every structure the stream needs was in the snapshot: the restored
     // service lazily built nothing.
     EXPECT_EQ(restored.stats().structures_built, 0u)
-        << tag << " use_mmap=" << use_mmap;
+        << tag << " buffered=" << buffered;
   }
 }
 
@@ -288,10 +299,10 @@ class PersistCorruption : public ::testing::Test {
   // cheap). Returns the image when the loader accepted the file.
   std::optional<SnapshotImage> try_load(const std::string& mutant) {
     spew(scratch_path(), mutant);
-    SnapshotLoadOptions options;
-    options.use_mmap = false;
+    DisarmOnExit guard;
+    EXPECT_TRUE(fp::arm(kMmapFails));
     try {
-      return load_snapshot(scratch_path(), options);
+      return load_snapshot(scratch_path());
     } catch (const SnapshotError&) {
       return std::nullopt;
     }
@@ -580,11 +591,6 @@ TEST_F(PersistManifest, SchemaOneIsRejected) {
 
 // --- injected I/O faults on the save/load path (docs/robustness.md) ---------
 
-// Failpoint state is process-global; every armed test must disarm on exit.
-struct DisarmOnExit {
-  ~DisarmOnExit() { fp::disarm_all(); }
-};
-
 // A small snapshot image + the bytes of a clean save of it.
 class PersistFaults : public ::testing::Test {
  protected:
@@ -668,10 +674,8 @@ TEST_F(PersistFaults, MmapFailureFallsBackToBufferedRead) {
   DisarmOnExit guard;
   // A filesystem without mmap support: load must silently take the read()
   // path and produce the same image.
-  ASSERT_TRUE(fp::arm("persist.mmap=err(ENOMEM)"));
-  SnapshotLoadOptions options;
-  options.use_mmap = true;
-  SnapshotImage loaded = load_snapshot(path_, options);
+  ASSERT_TRUE(fp::arm(kMmapFails));
+  SnapshotImage loaded = load_snapshot(path_);
   EXPECT_EQ(fingerprint_of(loaded.graph), fingerprint_of(graph_));
   EXPECT_EQ(loaded.entries.size(), image_.entries.size());
 }

@@ -402,7 +402,7 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
   const double build_seconds = timer.seconds();
 
   const SnapshotImage image = PersistAccess::export_service(service, false);
-  save_snapshot(out, image, req.options.jobs);
+  save_snapshot(out, image);
   const std::uint64_t bytes = file_size_bytes(out);
 
   if (stats_mode == "json") {
@@ -619,7 +619,8 @@ int cmd_query(const FlagParser& p) {
   const BuilderTraits* traits =
       BuilderRegistry::instance().find(built.algorithm);
   std::printf("structure: %llu edges of %u (built by %s)\n",
-              static_cast<unsigned long long>(engine.structure_edges()),
+              static_cast<unsigned long long>(
+                  engine.structure_graph().num_edges()),
               g.num_edges(), built.algorithm.c_str());
   if (traits != nullptr && !traits->exact) {
     std::printf("note: %s is approximate — distances are upper bounds, not "
@@ -627,12 +628,13 @@ int cmd_query(const FlagParser& p) {
                 built.algorithm.c_str());
   }
   const FaultSpec spec{faults, fault_verts};
-  const std::uint32_t d = engine.distance(s, t, spec);
+  auto lease = engine.acquire_scratch();
+  const std::uint32_t d = engine.distance(lease, s, t, spec);
   if (d == kInfHops) {
     std::printf("dist(%u,%u | %zu faults) = unreachable\n", s, t, fault_count);
   } else {
     std::printf("dist(%u,%u | %zu faults) = %u\n", s, t, fault_count, d);
-    const auto path = engine.shortest_path(s, t, spec);
+    const auto path = engine.shortest_path(lease, s, t, spec);
     std::printf("path:");
     for (const Vertex v : *path) std::printf(" %u", v);
     std::printf("\n");
